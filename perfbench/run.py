@@ -35,17 +35,23 @@ from spans import Tracer, layer_counts, layer_seconds
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT = Path(__file__).resolve().parent / "out"
-SETUP_REPEATS = 7
-MIN_PASSES = 3  # medians need a few passes even on a slow host
+SETUP_REPEATS = 15
+MIN_PASSES = 2  # a solve pass takes about half of a run
 
-# On a shared machine the speed of one core can drift by a third within
-# minutes as other tenants come and go, so raw medians of two runs minutes
-# apart can differ by more than any useful bound. Every timed metric is
-# therefore expressed in reference seconds: measured seconds times
-# REFERENCE_S over the run's median time of reference_sample(), which is
-# sampled before every pass and every set-up probe. On a machine where the
-# search takes REFERENCE_S the figures are plain seconds. The raw figures are
-# printed beside the scaled ones.
+# On a shared machine the speed of one core changes by up to a factor of 1.7
+# from one second to the next as other tenants come and go, so raw medians
+# of two runs minutes apart can differ by more than any useful bound. Every
+# timed metric is therefore expressed in reference seconds: measured seconds
+# times REFERENCE_S over the mean time of reference_sample() in the same
+# phase of the run. The pass metrics use the samples taken before every pass
+# and, in a long pass, between its items; setup_s uses the samples taken
+# before each set-up probe. The mean, not the median: on a contended host
+# the samples fall into a fast and a slow group, and their median jumps
+# between the two, while their mean grows with the contended share of the
+# time, as the time of a pass does. On a machine where the search takes
+# REFERENCE_S the figures are plain seconds. The raw figures are printed
+# beside the scaled ones. For the same reason pass times, and an item's
+# times over the passes, are combined by their mean.
 REFERENCE_S = 0.2
 # a fixed cubic graph: the 28-cycle plus its 14 antipodal chords
 _REFERENCE_ADJ = tuple(sum(1 << (v + d) % 28 for d in (1, 14, 27)) for v in range(28))
@@ -138,7 +144,10 @@ def tail(samples: list[float]) -> tuple[float, float]:
 
 def setup_times(workload: str, seed: int, refs: list[float]) -> list[float]:
     """Wall time of fresh processes that start Python, import indtree,
-    generate the workload's inputs and warm up, then exit."""
+    generate the workload's inputs and warm up, then exit.
+
+    A reference sample is appended to ``refs`` before each probe.
+    """
     cmd = [sys.executable, *["-O"] * sys.flags.optimize, str(Path(__file__).resolve())]
     cmd += ["--workload", workload, "--seed", str(seed), "--seconds", "0", "--trace", "0"]
     cmd += ["--setup-only"]
@@ -146,7 +155,9 @@ def setup_times(workload: str, seed: int, refs: list[float]) -> list[float]:
     for _ in range(SETUP_REPEATS):
         refs.append(reference_sample())
         start = time.perf_counter()
-        subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL, timeout=120)
+        # no timeout: with one, the wait polls with sleeps of up to 50 ms,
+        # which rounds the measured time up to the next poll
+        subprocess.run(cmd, cwd=ROOT, check=True, stdout=subprocess.DEVNULL)
         times.append(time.perf_counter() - start)
     return times
 
@@ -167,11 +178,17 @@ def judge(wl, passes) -> tuple[int, int, list[str]]:
 
 
 def timed_run(wl, seconds: float, refs: list[float]) -> list:
+    """Passes for about ``seconds``, with a reference sample before each and
+    wherever a pass pauses."""
+
+    def sample() -> None:
+        refs.append(reference_sample())
+
     passes = []
     start = time.perf_counter()
     while True:
-        refs.append(reference_sample())
-        passes.append(wl.run_pass(len(passes)))
+        sample()
+        passes.append(wl.run_pass(sample))
         typical = statistics.median(p.wall_s for p in passes)
         if len(passes) >= MIN_PASSES and time.perf_counter() - start + typical > seconds:
             return passes
@@ -180,26 +197,31 @@ def timed_run(wl, seconds: float, refs: list[float]) -> list:
 def traced_run(wl, seconds: float, tracer, refs: list[float]) -> tuple[list, list, list]:
     """Alternate untraced and traced passes over the same input."""
     untraced, traced, traces = [], [], []
+
+    def sample() -> None:
+        refs.append(reference_sample())
+
     start = time.perf_counter()
     while True:
-        refs.append(reference_sample())
-        untraced.append(wl.run_pass(0))
+        sample()
+        untraced.append(wl.run_pass(sample))
         traces.append(tracer.start_pass())
         with tracer:
-            traced.append(wl.run_pass(0))
+            traced.append(wl.run_pass(sample))
         typical = statistics.median(p.wall_s for p in untraced + traced) * 2
         if len(traced) >= MIN_PASSES and time.perf_counter() - start + typical > seconds:
             return untraced, traced, traces
 
 
-def end_to_end(wl, passes, setup: list[float]) -> tuple[dict, dict]:
-    wall = statistics.median(p.wall_s for p in passes)
-    # an item seen in several passes counts once, at its median latency
+def end_to_end(wl, passes, setup: list[float], setup_refs: list[float]) -> tuple[dict, dict, float]:
+    """Raw metrics, details, and the set-up median in reference seconds."""
+    wall = statistics.mean(p.wall_s for p in passes)
+    # an item seen in several passes counts once, at its mean latency
     repeats: dict = {}
     for p in passes:
         for item, seconds in p.latencies_s.items():
             repeats.setdefault(item, []).append(seconds)
-    latencies = [statistics.median(xs) for xs in repeats.values()]
+    latencies = [statistics.mean(xs) for xs in repeats.values()]
     tail_s, tail_pct = tail(latencies)
     metrics = {
         "setup_s": (statistics.median(setup), "s"),
@@ -215,14 +237,16 @@ def end_to_end(wl, passes, setup: list[float]) -> tuple[dict, dict]:
         "items_timed": len(latencies),
         "item_tail_percentile": round(tail_pct, 3),
         "setup_samples_s": setup,
+        "setup_reference_s": setup_refs,
     }
-    return metrics, details
+    setup_scaled = statistics.median(setup) * REFERENCE_S / statistics.mean(setup_refs)
+    return metrics, details, setup_scaled
 
 
 def per_layer(untraced, traced, traces) -> tuple[dict, dict]:
     counts = layer_counts(traces[0])
     secs = {
-        key: statistics.median(layer_seconds(t)[key] for t in traces)
+        key: statistics.mean(layer_seconds(t)[key] for t in traces)
         for key in layer_seconds(traces[0])
     }
 
@@ -261,16 +285,16 @@ def per_layer(untraced, traced, traces) -> tuple[dict, dict]:
         "verify.self_s": (secs["verify"], "s"),
         "cli.self_s": (secs["cli"], "s"),
         "trace.overhead_s": (
-            statistics.median(p.wall_s for p in traced)
-            - statistics.median(p.wall_s for p in untraced),
+            statistics.mean(p.wall_s for p in traced)
+            - statistics.mean(p.wall_s for p in untraced),
             "s",
         ),
     }
     details = {
         "passes_untraced": len(untraced),
         "passes_traced": len(traced),
-        "traced_wall_s": statistics.median(p.wall_s for p in traced),
-        "untraced_wall_s": statistics.median(p.wall_s for p in untraced),
+        "traced_wall_s": statistics.mean(p.wall_s for p in traced),
+        "untraced_wall_s": statistics.mean(p.wall_s for p in untraced),
         "counts": counts,
     }
     return metrics, details
@@ -337,12 +361,15 @@ def main(argv: list[str] | None = None) -> int:
         write_spans(spans_file, args.workload, args.seed, tracer, traces)
         details["spans_file"] = str(spans_file.relative_to(ROOT))
     else:
-        setup = setup_times(args.workload, args.seed, refs)
+        setup_refs: list[float] = []
+        setup = setup_times(args.workload, args.seed, setup_refs)
         passes = timed_run(wl, args.seconds, refs)
-        metrics, details = end_to_end(wl, passes, setup)
+        metrics, details, setup_scaled = end_to_end(wl, passes, setup, setup_refs)
         problems_extra = []
-    reference = statistics.median(refs)
+    reference = statistics.mean(refs)
     raw, metrics = metrics, rescale(metrics, REFERENCE_S / reference)
+    if not args.trace:
+        metrics["setup_s"] = (setup_scaled, "s")
 
     attempted, failed, problems = judge(wl, passes)
     attempted += len(problems_extra)
@@ -362,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         "attempted": attempted,
         "failed": failed,
         "fail_ratio": failed / attempted,
-        "reference_s": {"median": reference, "scaled_to": REFERENCE_S, "samples": refs},
+        "reference_s": {"mean": reference, "scaled_to": REFERENCE_S, "samples": refs},
         "pass_walls_s": [p.wall_s for p in passes],
         **details,
     }

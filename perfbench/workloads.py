@@ -1,7 +1,10 @@
 """The three benchmark workloads, driven through indtree's public interface.
 
 Each workload generates its inputs in ``setup``, runs one fixed unit of work
-per ``run_pass`` and judges a pass's output in ``check``. ``check`` runs
+per ``run_pass`` and judges a pass's output in ``check``. ``run_pass`` takes
+a ``pause`` callable, which a workload with long passes calls between items,
+outside its timed region, so that the caller can sample the host's speed
+during the pass. ``check`` runs
 outside the timed region and uses plain ``if`` tests, so it also works under
 ``python -O``. Library functions are looked up on the ``indtree`` modules at
 call time, which lets a Tracer's wrappers see every call.
@@ -105,7 +108,7 @@ class Enumerate:
             raise RuntimeError(f"indtree enumerate --n {n} exited with {code}")
         return sink
 
-    def run_pass(self, index: int) -> Pass:
+    def run_pass(self, pause) -> Pass:
         start = time.perf_counter()
         try:
             sink = self._walk(self.n)
@@ -140,10 +143,13 @@ class Enumerate:
             if why:
                 problems.append(f"{line} " + ", ".join(why))
                 bad += 1
-        missing = max(0, self.items - len(p.output))
-        if missing:
+        # too many classes is as wrong as too few: a canon that splits a class
+        # also passes the distinct-form test above, since it uses the same canon
+        miscount = abs(self.items - len(p.output))
+        if miscount:
             problems.append(f"{len(p.output)} classes emitted, expected {self.items}")
-        return Verdict(max(self.items, len(p.output)), bad + missing, problems)
+        attempted = max(self.items, len(p.output))
+        return Verdict(attempted, min(attempted, bad + miscount), problems)
 
 
 def claim_argv(max_n: int) -> list[list[str]]:
@@ -190,7 +196,7 @@ class Claims:
             with contextlib.redirect_stdout(io.StringIO()):
                 indtree.cli.run(argv)
 
-    def run_pass(self, index: int) -> Pass:
+    def run_pass(self, pause) -> Pass:
         outputs = []
         latencies = {}
         errors = []
@@ -266,43 +272,38 @@ def random_triangle_free(rng: random.Random, n: int, extra: int) -> indtree.Grap
 
 
 _EDGE_STEPS = 8
+_PAUSE_EVERY = 16  # graphs, about a second of solving
 
 
 class Solve:
     """Exact t(G), t(G, v) for every root and t(G, v)+1 refutations on a seeded corpus.
 
-    The seed yields ``corpora`` corpora of ``size`` graphs each; pass i parses
-    and solves corpus i mod ``corpora``, so a run's latencies pool many
-    distinct graphs. Vertex counts cycle through ``orders`` and extra edge
-    counts through n..2n, so corpora differ only in structure.
+    The seed yields one corpus of ``size`` graphs, and every pass parses and
+    solves all of it, so every run times the same graphs however many passes
+    it holds. Vertex counts cycle through ``orders`` and extra edge counts
+    step through n..2n, so every seed gives the same mix of sizes.
     """
 
     name = "solve"
 
-    def __init__(
-        self, seed: int, size: int = 24, corpora: int = 24, orders: tuple = (16, 17, 18)
-    ) -> None:
+    def __init__(self, seed: int, size: int = 192, orders: tuple = (16, 17, 18)) -> None:
         self.seed = seed
         self.size = size
-        self.corpora = corpora
         self.orders = orders
         self.items = size
-        self.texts: list[str] = []
+        self.text = ""
 
     def setup(self) -> None:
         rng = random.Random(self.seed)
-        self.texts = []
         k = len(self.orders)
-        for _ in range(self.corpora):
-            lines = []
-            for i in range(self.size):
-                n = self.orders[i % k]
-                # extra edges step through n..2n, so every corpus has one mix
-                extra = n + n * (i // k % _EDGE_STEPS) // (_EDGE_STEPS - 1)
-                g = random_triangle_free(rng, n, extra)
-                lines.append(indtree.to_graph6(g).decode("ascii"))
-            self.texts.append("\n".join(lines) + "\n")
-        for g in indtree.read_graph6_lines(self.texts[0])[:1]:
+        lines = []
+        for i in range(self.size):
+            n = self.orders[i % k]
+            extra = n + n * (i // k % _EDGE_STEPS) // (_EDGE_STEPS - 1)
+            g = random_triangle_free(rng, n, extra)
+            lines.append(indtree.to_graph6(g).decode("ascii"))
+        self.text = "\n".join(lines) + "\n"
+        for g in indtree.read_graph6_lines(self.text)[:1]:
             self._solve(g)
 
     @staticmethod
@@ -317,46 +318,47 @@ class Solve:
             refuted.append(not indtree.exists_induced_tree_through(rg, r.size + 1))
         return (unrooted.size, unrooted.witness), tuple(rooted), tuple(refuted)
 
-    def run_pass(self, index: int) -> Pass:
-        corpus = index % self.corpora
-        text = self.texts[corpus]
+    def run_pass(self, pause) -> Pass:
         start = time.perf_counter()
         try:
-            graphs = indtree.read_graph6_lines(text)
+            graphs = indtree.read_graph6_lines(self.text)
         except Exception as exc:  # a failed parse fails the whole corpus
-            return Pass(time.perf_counter() - start, {}, (text,), [_describe(exc)])
+            return Pass(time.perf_counter() - start, {}, (), [_describe(exc)])
         latencies = {}
         results = []
+        paused = 0.0
         for i, g in enumerate(graphs):
+            if i and i % _PAUSE_EVERY == 0:
+                t0 = time.perf_counter()
+                pause()
+                paused += time.perf_counter() - t0
             t0 = time.perf_counter()
             try:
                 results.append(self._solve(g))
             except Exception as exc:  # a failed graph is counted, not fatal
                 results.append(_describe(exc))
-            latencies[corpus, i] = time.perf_counter() - t0
-        wall = time.perf_counter() - start
-        return Pass(wall, latencies, (text, tuple(results)))
+            latencies[i] = time.perf_counter() - t0
+        wall = time.perf_counter() - start - paused
+        return Pass(wall, latencies, tuple(results))
 
     def check(self, p: Pass) -> Verdict:
         problems = list(p.errors)
-        if len(p.output) != 2:
-            return Verdict(self.size, self.size, problems)
-        text, results = p.output
-        graphs = [indtree.from_graph6(line) for line in text.split()]
-        failed = max(0, len(graphs) - len(results))
+        lines = self.text.split()
+        failed = max(0, len(lines) - len(p.output))
         if failed:
-            problems.append(f"{len(results)} results for {len(graphs)} graphs")
-        # brute-force subsample: the first two graphs of the smallest order in corpus 0
-        oracle_left = 2 if text == self.texts[0] else 0
-        for i, (g, res) in enumerate(zip(graphs, results)):
+            problems.append(f"{len(p.output)} results for {len(lines)} graphs")
+        # brute-force subsample: the first two graphs of the smallest order
+        oracle_left = 2
+        for i, (line, res) in enumerate(zip(lines, p.output)):
+            g = indtree.from_graph6(line)
             why = self._judge(g, res)
             if not why and oracle_left and g.n == min(self.orders):
                 oracle_left -= 1
                 why = self._oracle(g, res)
             if why:
-                problems.append(f"graph {i} ({text.split()[i]}): {why}")
+                problems.append(f"graph {i} ({line}): {why}")
                 failed += 1
-        return Verdict(max(self.size, len(graphs)), failed, problems)
+        return Verdict(len(lines), failed, problems)
 
     @staticmethod
     def _judge(g, res) -> str:
