@@ -11,6 +11,7 @@ from .constructions import blow_up_path, build_b_k, build_g_k, build_knn_minus_p
 from .enumeration import (
     EnumerationReport,
     enumerate_connected_triangle_free,
+    rooted_census,
     t3_star_formula,
     tabulate,
 )
@@ -44,7 +45,6 @@ from .verify import (
     CLAIMS,
     FailureRecord,
     VerificationReport,
-    cli_main,
     verify_corollary,
     verify_counterexample_b5,
     verify_diameter_remark,
@@ -72,7 +72,6 @@ __all__ = [
     "build_knn_minus_pm",
     "canonical_form",
     "canonical_labeling",
-    "cli_main",
     "closed_neighborhood",
     "diameter",
     "enumerate_connected_triangle_free",
@@ -85,6 +84,7 @@ __all__ = [
     "max_induced_tree",
     "max_induced_tree_through",
     "read_graph6_lines",
+    "rooted_census",
     "t3_star_formula",
     "tabulate",
     "to_edge_list_text",

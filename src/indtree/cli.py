@@ -10,6 +10,7 @@ subcommands pipe into each other.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Sequence
@@ -19,7 +20,6 @@ from .constructions import build_b_k, build_g_k, build_knn_minus_pm
 from .enumeration import enumerate_connected_triangle_free, tabulate
 from .formats import (
     from_edge_list_text,
-    from_graph6,
     read_graph6_lines,
     to_edge_list_text,
     to_graph6,
@@ -94,21 +94,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 0
     if args.command == "tabulate":
         rep = tabulate(args.n, override_budget=args.override_budget)
-        print(
-            json.dumps(
-                {
-                    "n": rep.n,
-                    "graphs_seen": rep.graphs_seen,
-                    "t3": rep.t3,
-                    "t3_star": rep.t3_star,
-                    "t3_star_formula": rep.t3_star_formula,
-                    "extremal_rooted": [list(p) for p in rep.extremal_rooted],
-                    "extremal_unrooted": list(rep.extremal_unrooted),
-                    "elapsed": rep.elapsed,
-                },
-                indent=2,
-            )
-        )
+        print(json.dumps(dataclasses.asdict(rep), indent=2))
         return 0
     if args.command == "verify":
         return _cmd_verify(args, parser)
@@ -147,11 +133,14 @@ def _cmd_construct(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
 
 
 def _read_graphs(path: str) -> list[Graph]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path!r} is not ASCII text") from None
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise GraphError(f"no graphs in {path!r}")

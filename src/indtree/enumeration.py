@@ -19,15 +19,13 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .canon import canonical_form, canonical_labeling
+from .canon import are_rooted_isomorphic, canonical_labeling
 from .formats import to_graph6
-from .graph import Graph, GraphError, RootedGraph, bits, is_connected
-from .solver import max_induced_tree, max_induced_tree_through
+from .graph import Graph, GraphError, RootedGraph, is_connected
+from .solver import max_induced_tree_through
 
 DEFAULT_MAX_N = 11
 HARD_MAX_N = 12
-
-_ROOT_COLORS_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
 
 
 @dataclass(frozen=True)
@@ -118,19 +116,7 @@ def _accept(child: Graph, new: int, last: int) -> bool:
         return True
     if child.degree(new) != child.degree(last):
         return False
-    return (
-        canonical_form(child, _root_colors(child.n, new)).data
-        == canonical_form(child, _root_colors(child.n, last)).data
-    )
-
-
-def _root_colors(n: int, root: int) -> tuple[int, ...]:
-    key = (n, root)
-    got = _ROOT_COLORS_CACHE.get(key)
-    if got is None:
-        got = tuple(1 if v == root else 0 for v in range(n))
-        _ROOT_COLORS_CACHE[key] = got
-    return got
+    return are_rooted_isomorphic(RootedGraph(child, new), RootedGraph(child, last))
 
 
 def _independent_sets(g: Graph) -> list[int]:
@@ -143,11 +129,24 @@ def _independent_sets(g: Graph) -> list[int]:
     return sets
 
 
+def rooted_census(
+    n: int, *, override_budget: bool = False
+) -> Iterator[tuple[Graph, str, tuple[int, ...]]]:
+    """Yield (g, graph6, sizes) for every class on n vertices, sizes[v] = t(G, v).
+
+    One enumeration walk and one rooted solve per (G, v). Every exhaustive
+    claim over rooted graphs reads this stream; t(G) is max(sizes).
+    """
+    for g in enumerate_connected_triangle_free(n, override_budget=override_budget):
+        g6 = to_graph6(g).decode("ascii")
+        yield g, g6, tuple(max_induced_tree_through(RootedGraph(g, v)).size for v in range(n))
+
+
 def tabulate(n: int, *, override_budget: bool = False) -> EnumerationReport:
     """Exact t3(n) and t3_star(n) with every extremal witness.
 
-    One pass over the enumeration; for the rooted minimum every vertex of
-    every graph is tried as the root.
+    One pass over rooted_census: every vertex of every graph is tried as the
+    root, and t(G) is the largest of those rooted values.
     """
     start = time.perf_counter()
     seen = 0
@@ -155,17 +154,15 @@ def tabulate(n: int, *, override_budget: bool = False) -> EnumerationReport:
     t3s = n + 1
     ext_unrooted: list[str] = []
     ext_rooted: list[tuple[str, int]] = []
-    for g in enumerate_connected_triangle_free(n, override_budget=override_budget):
+    for _, g6, sizes in rooted_census(n, override_budget=override_budget):
         seen += 1
-        g6 = to_graph6(g).decode("ascii")
-        tg = max_induced_tree(g).size
+        tg = max(sizes)
         if tg < t3:
             t3 = tg
             ext_unrooted = [g6]
         elif tg == t3:
             ext_unrooted.append(g6)
-        for v in range(n):
-            tv = max_induced_tree_through(RootedGraph(g, v)).size
+        for v, tv in enumerate(sizes):
             if tv < t3s:
                 t3s = tv
                 ext_rooted = [(g6, v)]

@@ -65,7 +65,10 @@ def from_graph6(data: bytes | str) -> Graph:
     garbage, and nonzero padding bits, reporting the byte offset.
     """
     if isinstance(data, str):
-        data = data.encode("ascii")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6ParseError("non-ASCII character in graph6 string", exc.start) from None
     if data.startswith(_HEADER_PREFIX):
         data = data[len(_HEADER_PREFIX):]
     if not data:
@@ -101,11 +104,15 @@ def from_graph6(data: bytes | str) -> Graph:
     ngroups = (nbits + 5) // 6
     if len(data) > body + ngroups:
         raise Graph6ParseError("trailing garbage after graph6 data", body + ngroups)
+    # the body is read in full before any row is allocated, so a header
+    # claiming a huge n over a short body costs nothing
+    groups = [sextet(i) for i in range(body, len(data))]
+    if len(groups) < ngroups:
+        raise Graph6ParseError("truncated graph6 string", len(data))
 
     rows = [0] * n
     bit = 0
-    for k in range(ngroups):
-        group = sextet(body + k)
+    for k, group in enumerate(groups):
         for t in range(5, -1, -1):
             val = group >> t & 1
             if bit >= nbits:
@@ -131,8 +138,6 @@ def _triangle_position(bit: int) -> tuple[int, int]:
 
 def read_graph6_lines(text: bytes | str) -> list[Graph]:
     """Parse one graph per nonempty line."""
-    if isinstance(text, bytes):
-        text = text.decode("ascii")
     graphs = []
     for line in text.splitlines():
         line = line.strip()

@@ -53,17 +53,16 @@ class Graph:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
         if len(rows) != n:
             raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
-        if __debug__:
-            full = (1 << n) - 1
-            for u, row in enumerate(rows):
-                if row < 0 or row & ~full:
-                    raise GraphError(f"adjacency row {u} has bits outside 0..{n - 1}")
-                if row >> u & 1:
-                    raise GraphError(f"self-loop at vertex {u}")
-            for u, row in enumerate(rows):
-                for v in bits(row):
-                    if not rows[v] >> u & 1:
-                        raise GraphError(f"asymmetric edge ({u}, {v})")
+        full = (1 << n) - 1
+        for u, row in enumerate(rows):
+            if row < 0 or row & ~full:
+                raise GraphError(f"adjacency row {u} has bits outside 0..{n - 1}")
+            if row >> u & 1:
+                raise GraphError(f"self-loop at vertex {u}")
+        for u, row in enumerate(rows):
+            for v in bits(row):
+                if not rows[v] >> u & 1:
+                    raise GraphError(f"asymmetric edge ({u}, {v})")
         self.n = n
         self.adj = rows
 

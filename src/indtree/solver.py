@@ -127,20 +127,21 @@ def max_induced_tree(g: Graph) -> TreeSearchResult:
     """
     if g.n == 0:
         raise GraphError("t(G) is undefined for the empty graph")
-    best: TreeSearchResult | None = None
+    best_size = 0
+    best_set = 0
     nodes = 0
     prunings = 0
     for r in range(g.n):
-        if best is not None and best.size >= g.n - r:
+        if best_size >= g.n - r:
             break
         s = _Search(g)
         s.run(r, (1 << r) - 1)
         nodes += s.nodes
         prunings += s.prunings
-        if best is None or s.best_size > best.size:
-            best = TreeSearchResult(s.best_size, s.best_set, None, SearchStats(0, 0))
-    assert best is not None
-    result = TreeSearchResult(best.size, best.witness, None, SearchStats(nodes, prunings))
+        if s.best_size > best_size:
+            best_size = s.best_size
+            best_set = s.best_set
+    result = TreeSearchResult(best_size, best_set, None, SearchStats(nodes, prunings))
     _check_witness(g, result)
     return result
 
@@ -194,7 +195,7 @@ def brute_force_t(g: Graph, root: int | None = None) -> TreeSearchResult:
 
 
 def _check_witness(g: Graph, r: TreeSearchResult) -> None:
-    assert r.size == r.witness.bit_count()
-    assert is_induced_tree(g, r.witness)
-    if r.required_root is not None:
-        assert r.witness >> r.required_root & 1
+    if r.size != r.witness.bit_count() or not is_induced_tree(g, r.witness):
+        raise AssertionError(f"witness {r.witness:#x} is not an induced tree of size {r.size}")
+    if r.required_root is not None and not r.witness >> r.required_root & 1:
+        raise AssertionError(f"witness {r.witness:#x} misses the root {r.required_root}")

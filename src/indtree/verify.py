@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from .canon import are_rooted_isomorphic
 from .constructions import build_b_k, build_g_k, build_knn_minus_pm
@@ -34,12 +35,12 @@ from .enumeration import (
     DEFAULT_MAX_N,
     HARD_MAX_N,
     enumerate_connected_triangle_free,
-    t3_star_formula,
+    rooted_census,
     tabulate,
 )
 from .formats import to_graph6
 from .graph import Graph, GraphError, RootedGraph, closed_neighborhood, diameter
-from .solver import max_induced_tree, max_induced_tree_through
+from .solver import max_induced_tree
 
 CLAIMS = (
     "theorem1",
@@ -122,35 +123,7 @@ def verify_theorem1(max_n: int, *, override_budget: bool = False) -> Verificatio
     and in the equality case the rooted graph is the blown-up path from
     build_g_k(k) rooted at its singleton class.
     """
-    _check_budget(max_n, override_budget)
-    start = time.perf_counter()
-    instances = 0
-    failures: list[FailureRecord] = []
-    for n in range(1, max_n + 1):
-        for g in enumerate_connected_triangle_free(n, override_budget=override_budget):
-            g6 = to_graph6(g).decode("ascii")
-            for v in range(n):
-                instances += 1
-                k = max_induced_tree_through(RootedGraph(g, v)).size
-                bound = 1 + (k - 1) * k // 2
-                if n > bound:
-                    failures.append(
-                        FailureRecord(g6, v, (("n", n), ("t_rooted", k), ("bound", bound)))
-                    )
-                elif n == bound and not are_rooted_isomorphic(RootedGraph(g, v), build_g_k(k)):
-                    failures.append(
-                        FailureRecord(
-                            g6,
-                            v,
-                            (
-                                ("n", n),
-                                ("t_rooted", k),
-                                ("bound", bound),
-                                ("extremal_match", 0),
-                            ),
-                        )
-                    )
-    return _report("theorem1", (("max_n", max_n),), instances, failures, start)
+    return _verify_rooted("theorem1", _theorem1_failure, max_n, override_budget)
 
 
 def verify_theorem2(max_n: int, *, override_budget: bool = False) -> VerificationReport:
@@ -159,32 +132,49 @@ def verify_theorem2(max_n: int, *, override_budget: bool = False) -> Verificatio
     Same instance stream as verify_theorem1: for every (G, v) with
     k = t(G, v), at most (k-2)(k-1)/2 vertices avoid N[v].
     """
+    return _verify_rooted("theorem2", _theorem2_failure, max_n, override_budget)
+
+
+def _verify_rooted(
+    claim: str,
+    failure: Callable[[Graph, str, int, int], FailureRecord | None],
+    max_n: int,
+    override_budget: bool,
+) -> VerificationReport:
+    """Run ``failure(g, graph6, v, k)`` on every (G, v) of the census up to max_n."""
     _check_budget(max_n, override_budget)
     start = time.perf_counter()
     instances = 0
     failures: list[FailureRecord] = []
     for n in range(1, max_n + 1):
-        for g in enumerate_connected_triangle_free(n, override_budget=override_budget):
-            g6 = to_graph6(g).decode("ascii")
-            for v in range(n):
-                instances += 1
-                k = max_induced_tree_through(RootedGraph(g, v)).size
-                outside = n - closed_neighborhood(g, v).bit_count()
-                bound = (k - 2) * (k - 1) // 2
-                if outside > bound:
-                    failures.append(
-                        FailureRecord(
-                            g6,
-                            v,
-                            (
-                                ("n", n),
-                                ("t_rooted", k),
-                                ("outside_closed_nbhd", outside),
-                                ("bound", bound),
-                            ),
-                        )
-                    )
-    return _report("theorem2", (("max_n", max_n),), instances, failures, start)
+        for g, g6, sizes in rooted_census(n, override_budget=override_budget):
+            instances += n
+            for v, k in enumerate(sizes):
+                record = failure(g, g6, v, k)
+                if record is not None:
+                    failures.append(record)
+    return _report(claim, (("max_n", max_n),), instances, failures, start)
+
+
+def _theorem1_failure(g: Graph, g6: str, v: int, k: int) -> FailureRecord | None:
+    n = g.n
+    bound = 1 + (k - 1) * k // 2
+    observed = (("n", n), ("t_rooted", k), ("bound", bound))
+    if n > bound:
+        return FailureRecord(g6, v, observed)
+    if n == bound and not are_rooted_isomorphic(RootedGraph(g, v), build_g_k(k)):
+        return FailureRecord(g6, v, observed + (("extremal_match", 0),))
+    return None
+
+
+def _theorem2_failure(g: Graph, g6: str, v: int, k: int) -> FailureRecord | None:
+    outside = g.n - closed_neighborhood(g, v).bit_count()
+    bound = (k - 2) * (k - 1) // 2
+    if outside <= bound:
+        return None
+    return FailureRecord(
+        g6, v, (("n", g.n), ("t_rooted", k), ("outside_closed_nbhd", outside), ("bound", bound))
+    )
 
 
 def verify_corollary(max_n: int, *, override_budget: bool = False) -> VerificationReport:
@@ -321,9 +311,3 @@ def verify_diameter_remark(
         "diameter_remark", (("k", k), ("max_n", max_n)), instances, failures, start
     )
 
-
-def cli_main(argv: list[str] | None = None) -> int:
-    """Command line entry point; see the cli module for the interface."""
-    from . import cli
-
-    return cli.run(argv)

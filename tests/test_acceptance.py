@@ -35,6 +35,9 @@ from indtree import (
 
 CRITERION_1_TIME_LIMIT = 300.0
 
+# OEIS A024607: connected triangle-free graphs on n = 1..10 vertices
+A024607 = [1, 1, 1, 3, 6, 19, 59, 267, 1380, 9832]
+
 
 def _verdict(capsys, number, name, ok, detail):
     with capsys.disabled():
@@ -53,8 +56,10 @@ def _ceiling_formula(n):
 def test_criterion_1_corollary_formula(capsys):
     start = time.perf_counter()
     mismatches = []
+    graphs_seen = []
     for n in range(1, 11):
         rep = tabulate(n)
+        graphs_seen.append(rep.graphs_seen)
         want = _ceiling_formula(n)
         if rep.t3_star != want or rep.t3_star != rep.t3_star_formula:
             mismatches.append((n, rep.t3_star, want))
@@ -68,6 +73,7 @@ def test_criterion_1_corollary_formula(capsys):
         f"mismatches={mismatches} elapsed={elapsed:.1f}s (limit {CRITERION_1_TIME_LIMIT:.0f}s)",
     )
     assert not mismatches
+    assert graphs_seen == A024607
     assert elapsed <= CRITERION_1_TIME_LIMIT
 
 

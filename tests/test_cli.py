@@ -86,6 +86,16 @@ def test_solve_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_non_ascii_input_exits_two(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bad.g6"
+    path.write_bytes(b"D\xfd\n")
+    assert run(["solve", "--input", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    monkeypatch.setattr("sys.stdin", io.StringIO("D\u00e9\n"))
+    assert run(["solve", "--input", "-"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solve_root_out_of_range(tmp_path, capsys):
     assert run(["solve", "--input", str(c5_file(tmp_path)), "--root", "9"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -79,6 +80,31 @@ def test_rejects_garbage():
         from_graph6(b"A@")  # nonzero padding bits
     with pytest.raises(Graph6ParseError):
         from_graph6(b"~")  # bare medium header
+
+
+def test_rejects_non_ascii():
+    with pytest.raises(Graph6ParseError) as exc:
+        from_graph6("D\u00e9")
+    assert exc.value.offset == 1
+    with pytest.raises(Graph6ParseError):
+        read_graph6_lines(b"D\xfd")
+    with pytest.raises(Graph6ParseError):
+        read_graph6_lines("Bg\nD\u00e9\n")
+
+
+def test_truncation_is_found_before_rows_are_allocated():
+    # a long header claiming 2^20 vertices over a two-byte body; rows for
+    # that n would take megabytes
+    n = 1 << 20
+    head = b"~~" + bytes(63 + (n >> s & 63) for s in (30, 24, 18, 12, 6, 0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(Graph6ParseError, match="truncated"):
+            from_graph6(head + b"??")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_rejects_overlong_header():

@@ -1,7 +1,11 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import pytest
 
+import indtree
 from indtree import (
     GraphError,
     RootedGraph,
@@ -15,7 +19,7 @@ from indtree import (
     verify_theorem1,
     verify_theorem2,
 )
-from indtree.verify import FailureRecord, VerificationReport, _report, cli_main
+from indtree.verify import FailureRecord, VerificationReport, _report
 
 
 def test_theorem1_passes_small():
@@ -90,6 +94,38 @@ def test_reports_deterministic_up_to_elapsed():
     assert a == b
 
 
+_UNDER_O = """
+import sys
+from indtree import Graph, GraphError, SearchStats, TreeSearchResult
+from indtree.cli import run
+from indtree.solver import _check_witness
+
+if __debug__:
+    sys.exit("not running under -O")
+try:
+    Graph(2, [2, 0])
+    sys.exit("Graph(2, [2, 0]) was accepted")
+except GraphError:
+    pass
+try:
+    _check_witness(Graph(2, [0, 0]), TreeSearchResult(2, 0b11, None, SearchStats(0, 0)))
+    sys.exit("a disconnected witness was accepted")
+except AssertionError:
+    pass
+sys.exit(run(["verify", "--claim", "theorem1", "--max-n", "5"]))
+"""
+
+
+def test_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(indtree.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _UNDER_O], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "status: PASS" in proc.stdout
+
+
 def test_report_status_iff_failures():
     ok = _report("theorem1", (("max_n", 3),), 7, [], 0.0)
     assert ok.status == "pass" and ok.passed
@@ -125,7 +161,72 @@ def test_failure_records_would_replay():
     assert max_induced_tree_through(RootedGraph(g, fr.root)).size == observed["t_rooted"]
 
 
-def test_cli_main_is_wired(capsys):
-    assert cli_main(["verify", "--claim", "counterexample_b5"]) == 0
-    out = capsys.readouterr().out
-    assert "status: PASS" in out
+def _under_report_rooted_sizes(monkeypatch):
+    """Make every rooted solve report t(G, v) - 1 (never below 1).
+
+    Every ``indtree`` module attribute bound to the solver function is
+    replaced, so the claims see the fake whichever module they call it from.
+    """
+    real = max_induced_tree_through
+
+    def under(rg):
+        res = real(rg)
+        return dataclasses.replace(res, size=max(1, res.size - 1))
+
+    for name, module in list(sys.modules.items()):
+        if name == "indtree" or name.startswith("indtree."):
+            for attr, obj in list(vars(module).items()):
+                if obj is real:
+                    monkeypatch.setattr(module, attr, under)
+
+
+def test_theorem1_records_every_failure(monkeypatch):
+    _under_report_rooted_sizes(monkeypatch)
+    rep = verify_theorem1(4)
+    assert rep.status == "fail" and rep.instances_checked == 18
+
+    def over(n, k, bound):
+        return (("n", n), ("t_rooted", k), ("bound", bound))
+
+    not_gk = (("n", 4), ("t_rooted", 3), ("bound", 4), ("extremal_match", 0))
+    assert [(f.graph6, f.root, f.observed) for f in rep.failures] == [
+        ("A_", 0, over(2, 1, 1)),
+        ("A_", 1, over(2, 1, 1)),
+        ("BW", 0, over(3, 2, 2)),
+        ("BW", 1, over(3, 2, 2)),
+        ("BW", 2, over(3, 2, 2)),
+        ("CF", 0, not_gk),
+        ("CF", 1, not_gk),
+        ("CF", 2, not_gk),
+        ("CF", 3, not_gk),
+        ("CU", 0, not_gk),
+        ("CU", 1, not_gk),
+        ("CU", 2, not_gk),
+        ("CU", 3, not_gk),
+        ("C]", 0, over(4, 2, 2)),
+        ("C]", 1, over(4, 2, 2)),
+        ("C]", 2, over(4, 2, 2)),
+        ("C]", 3, over(4, 2, 2)),
+    ]
+
+
+def test_theorem2_records_every_failure(monkeypatch):
+    _under_report_rooted_sizes(monkeypatch)
+    rep = verify_theorem2(4)
+    assert rep.status == "fail" and rep.instances_checked == 18
+    k2 = (("n", 3), ("t_rooted", 2), ("outside_closed_nbhd", 1), ("bound", 0))
+    k3 = (("n", 4), ("t_rooted", 3), ("outside_closed_nbhd", 2), ("bound", 1))
+    c4 = (("n", 4), ("t_rooted", 2), ("outside_closed_nbhd", 1), ("bound", 0))
+    assert [(f.graph6, f.root, f.observed) for f in rep.failures] == [
+        ("BW", 0, k2),
+        ("BW", 1, k2),
+        ("CF", 0, k3),
+        ("CF", 1, k3),
+        ("CF", 2, k3),
+        ("CU", 1, k3),
+        ("CU", 2, k3),
+        ("C]", 0, c4),
+        ("C]", 1, c4),
+        ("C]", 2, c4),
+        ("C]", 3, c4),
+    ]
