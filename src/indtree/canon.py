@@ -109,28 +109,99 @@ def _pack(n: int, colors: tuple[int, ...] | None, code: int) -> bytes:
     return head + code.to_bytes((nbits + 7) // 8 or 1, "big")
 
 
-def _refine(adj: tuple[int, ...], cells: list[int]) -> list[int]:
+def _refine(
+    adj: tuple[int, ...], cells: list[int], stable: frozenset[int] = frozenset()
+) -> list[int]:
     """Equitable refinement: split cells by degree into every cell, smallest
     degree first, until stable. Deterministic in the cell order, so the
-    result is isomorphism-invariant."""
-    changed = True
-    while changed:
-        changed = False
-        for w in cells:
-            for ci, c in enumerate(cells):
-                if c.bit_count() == 1:
-                    continue
-                groups: dict[int, int] = {}
-                for v in bits(c):
-                    d = (adj[v] & w).bit_count()
-                    groups[d] = groups.get(d, 0) | 1 << v
-                if len(groups) > 1:
-                    cells[ci : ci + 1] = [groups[d] for d in sorted(groups)]
-                    changed = True
+    result is isomorphism-invariant.
+
+    Each split is made at the first unstable (splitter w, cell c) pair in
+    scan order, w-major. Splitting only refines, and a piece of a cell that
+    is stable with respect to some w is stable with respect to it too, so
+    every pair scanned before the split stays stable. The scan therefore
+    resumes where a restart from the first pair would find its first
+    unstable pair, and the splits, and the ordered result, are those of
+    that restart.
+
+    ``stable`` holds masks known to split no cell of ``cells``, such as
+    the cells of an equitable partition that ``cells`` refines; the scan
+    passes over them as splitters, since it would find no split there.
+
+    Degrees into w are held bit-sliced: vertex v has degree
+    sum(2**j for j, p in enumerate(planes) if p >> v & 1), so a cell is
+    stable when every plane holds all of it or none of it.
+    """
+    wi = ci = 0
+    k = len(cells)
+    while wi < k:
+        w = cells[wi]
+        if w in stable:
+            wi += 1
+            continue
+        planes: list[int] = []
+        rest = w
+        while rest:  # add each neighbourhood of a w vertex, ripple carry
+            low = rest & -rest
+            rest ^= low
+            carry = adj[low.bit_length() - 1]
+            j = 0
+            while carry:
+                if j == len(planes):
+                    planes.append(carry)
                     break
-            if changed:
-                break
+                p = planes[j]
+                planes[j] = p ^ carry
+                carry &= p
+                j += 1
+        while ci < k:
+            c = cells[ci]
+            if c & (c - 1):  # two or more vertices
+                for p in planes:
+                    x = c & p
+                    if x and x != c:
+                        break
+                else:
+                    ci += 1
+                    continue
+                pieces = [c]
+                for p in reversed(planes):  # most significant plane first
+                    split = []
+                    for x in pieces:
+                        hi = x & p
+                        if hi and hi != x:
+                            split += (x ^ hi, hi)
+                        else:
+                            split.append(x)
+                    pieces = split
+                cells[ci : ci + 1] = pieces
+                k += len(pieces) - 1
+                if ci <= wi:
+                    # the splitter or a cell before it changed: resume
+                    # with the first piece as the splitter
+                    wi, ci = ci, 0
+                    break
+                ci += len(pieces)
+            else:
+                ci += 1
+        else:
+            wi, ci = wi + 1, 0
     return cells
+
+
+def last_cell(g: Graph) -> int:
+    """Last cell, as a bitmask, of the equitable refinement of g's unit partition.
+
+    ``canonical_labeling`` refines this partition first and then only
+    individualizes and refines further; each split replaces a cell by its
+    pieces in place and keeps the order of the cells. So the vertex that the
+    labeling puts in the final position, n - 1, always lies in this cell.
+    The cell is isomorphism-invariant and hence a union of Aut(g) orbits: a
+    vertex outside it is in no orbit of the final vertex. The first split
+    orders the cells by degree, smallest first, so the cell holds only
+    vertices of largest degree.
+    """
+    return _refine(g.adj, [(1 << g.n) - 1])[-1]
 
 
 def _search(
@@ -167,8 +238,8 @@ def _search(
             if any(phi[v] != v for v in range(n)):
                 autos.append(tuple(phi))
 
-    def descend(cells: list[int], base: tuple[int, ...]) -> None:
-        cells = _refine(adj, cells)
+    def descend(cells: list[int], base: tuple[int, ...], stable: frozenset[int]) -> None:
+        cells = _refine(adj, cells, stable)
         target = -1
         for ci, c in enumerate(cells):
             if c.bit_count() > 1:
@@ -178,11 +249,17 @@ def _search(
             leaf(cells)
             return
         cell = cells[target]
+        equitable = frozenset(cells)  # no cell splits a refinement of cells
         explored = 0
+        gens: list[tuple[int, ...]] = []  # stored automorphisms fixing the base
+        checked = 0
         for v in bits(cell):
             # skip v if an automorphism fixing the base maps it into an
             # already-explored sibling's orbit
-            gens = [a for a in autos if all(a[b] == b for b in base)]
+            for a in autos[checked:]:
+                if all(a[b] == b for b in base):
+                    gens.append(a)
+            checked = len(autos)
             orbit = 1 << v
             if gens:
                 stack = [v]
@@ -197,8 +274,8 @@ def _search(
                 continue
             explored |= 1 << v
             child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1 :]
-            descend(child, base + (v,))
+            descend(child, base + (v,), equitable)
 
-    descend(list(init_cells), ())
+    descend(list(init_cells), (), frozenset())
     assert best_code is not None and best_perm is not None
     return best_code, tuple(best_perm)

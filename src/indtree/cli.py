@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: construct, solve, enumerate, tabulate, verify. Exit codes:
-0 success (and claim verified), 1 claim falsified, 2 usage or input error.
+0 success (and claim verified), 1 claim falsified, 2 usage or input error,
+141 (128 + SIGPIPE) stdout closed by its reader, as by a pipe into ``head``.
 Graphs are read as graph6 lines or as edge-list text ("n m" header then one
 "u v" pair per line); output format mirrors the input conventions so
 subcommands pipe into each other.
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -71,10 +73,27 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args, parser)
+        code = _dispatch(args, parser)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return 141
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _stdout_to_devnull() -> None:
+    """Point file descriptor 1 at devnull, so that the flush at interpreter
+    exit finds no closed pipe; a stdout without a descriptor is left alone."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 def main() -> None:

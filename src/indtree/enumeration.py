@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .canon import are_rooted_isomorphic, canonical_labeling
+from .canon import are_rooted_isomorphic, canonical_labeling, last_cell
 from .formats import to_graph6
 from .graph import Graph, GraphError, RootedGraph, is_connected
 from .solver import max_induced_tree_through
@@ -91,12 +91,25 @@ def _extend(g: Graph, target: int) -> Iterator[Graph]:
 
 
 def _children(g: Graph) -> Iterator[Graph]:
-    """Accepted one-vertex extensions of g, one per child class."""
+    """Accepted one-vertex extensions of g, one per child class.
+
+    A candidate whose new vertex lies outside the child's ``last_cell`` is
+    in no orbit of the last canonical vertex, so ``_accept`` would reject
+    it; it is dropped before any canonical labeling. The cell holds only
+    vertices of largest degree, which the first test decides from g alone.
+    """
     m = g.n
     new = m
+    top = max(a.bit_count() for a in g.adj)
+    top_mask = sum(1 << v for v, a in enumerate(g.adj) if a.bit_count() == top)
     emitted: set[bytes] = set()
     for s in _independent_sets(g):
+        d = s.bit_count()  # degree of new; a vertex of top_mask in s gets top + 1
+        if d < top or d == top and s & top_mask:
+            continue  # an old vertex has a larger degree than new
         child = Graph(m + 1, tuple(a | (s >> v & 1) << new for v, a in enumerate(g.adj)) + (s,))
+        if not last_cell(child) >> new & 1:
+            continue
         form, perm = canonical_labeling(child)
         if form.data in emitted:
             continue
@@ -112,11 +125,9 @@ def _accept(child: Graph, new: int, last: int) -> bool:
     Decided by rooted canonical forms, which is unconditionally correct;
     being merely interchangeable-by-deletion (pseudo-similar) is not enough.
     """
-    if new == last:
-        return True
-    if child.degree(new) != child.degree(last):
-        return False
-    return are_rooted_isomorphic(RootedGraph(child, new), RootedGraph(child, last))
+    return new == last or are_rooted_isomorphic(
+        RootedGraph(child, new), RootedGraph(child, last)
+    )
 
 
 def _independent_sets(g: Graph) -> list[int]:

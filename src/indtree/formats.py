@@ -160,10 +160,7 @@ def from_edge_list_text(text: str) -> Graph:
     head = rows[0].split()
     if len(head) != 2:
         raise GraphError(f"expected 'n m' on the first line, got {rows[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise GraphError(f"non-integer header {rows[0]!r}") from exc
+    n, m = _naturals(head, f"non-integer header {rows[0]!r}")
     if len(rows) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(rows) - 1} lines")
     edges = []
@@ -171,8 +168,17 @@ def from_edge_list_text(text: str) -> Graph:
         parts = ln.split()
         if len(parts) != 2:
             raise GraphError(f"expected 'u v', got {ln!r}")
-        try:
-            edges.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise GraphError(f"non-integer edge line {ln!r}") from exc
+        u, v = _naturals(parts, f"non-integer edge line {ln!r}")
+        edges.append((u, v))
     return Graph.from_edge_list(n, edges)
+
+
+def _naturals(tokens: list[str], error: str) -> list[int]:
+    """Tokens of ASCII digits as ints; ``int`` alone would also take signs,
+    underscores and the digits of other scripts."""
+    if all(t.isascii() and t.isdigit() for t in tokens):
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:  # more digits than int() converts
+            pass
+    raise GraphError(error)

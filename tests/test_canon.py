@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -12,6 +13,8 @@ from indtree import (
     canonical_form,
     canonical_labeling,
 )
+from indtree.canon import _refine, last_cell
+from indtree.graph import bits
 
 
 def to_nx(g):
@@ -240,3 +243,103 @@ def test_form_equality_ignores_color_payload():
     b = canonical_form(p3, (0, 0, 1))
     assert a == b
     assert a.colors != b.colors
+
+
+def reference_refine(adj, cells):
+    """The restart-from-scratch refinement that _refine must reproduce: after
+    every split the scan starts again at the first (splitter, cell) pair."""
+    changed = True
+    while changed:
+        changed = False
+        for w in cells:
+            for ci, c in enumerate(cells):
+                if c.bit_count() == 1:
+                    continue
+                groups = {}
+                for v in bits(c):
+                    d = (adj[v] & w).bit_count()
+                    groups[d] = groups.get(d, 0) | 1 << v
+                if len(groups) > 1:
+                    cells[ci : ci + 1] = [groups[d] for d in sorted(groups)]
+                    changed = True
+                    break
+            if changed:
+                break
+    return cells
+
+
+def random_ordered_partition(rng, n):
+    k = rng.randint(1, n)
+    color = [rng.randrange(k) for _ in range(n)]
+    cells = [sum(1 << v for v in range(n) if color[v] == c) for c in range(k)]
+    cells = [c for c in cells if c]
+    rng.shuffle(cells)
+    return cells
+
+
+def test_refine_matches_restart_reference():
+    # the resumed scan gives the same ordered partition, not just the same cells
+    rng = random.Random(8)
+    splits = 0
+    for _ in range(6000):
+        n = rng.randint(1, 13)
+        g = random_graph(rng, n, rng.random())
+        cells = random_ordered_partition(rng, n)
+        want = reference_refine(g.adj, list(cells))
+        assert _refine(g.adj, list(cells)) == want
+        splits += len(want) - len(cells)
+    assert splits > 10000  # the pairs exercise many splits, not only stable input
+
+
+def test_refine_after_individualizing_matches_reference():
+    # the search passes the cells of the equitable parent partition as
+    # known non-splitters; skipping them must not change the result
+    rng = random.Random(9)
+    checked = 0
+    for _ in range(2000):
+        n = rng.randint(2, 13)
+        g = random_graph(rng, n, rng.random())
+        cells = reference_refine(g.adj, [(1 << n) - 1])
+        for _ in range(3):
+            target = next((i for i, c in enumerate(cells) if c.bit_count() > 1), None)
+            if target is None:
+                break
+            v = rng.choice(list(bits(cells[target])))
+            child = cells[:target] + [1 << v, cells[target] & ~(1 << v)] + cells[target + 1 :]
+            want = reference_refine(g.adj, list(child))
+            assert _refine(g.adj, list(child), frozenset(cells)) == want
+            cells = want
+            checked += 1
+    assert checked > 2000
+
+
+def test_last_canonical_vertex_lies_in_last_cell():
+    rng = random.Random(10)
+    for _ in range(500):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.random())
+        cell = last_cell(g)
+        _, perm = canonical_labeling(g)
+        assert cell >> perm.index(n - 1) & 1
+        top = max(g.degree(v) for v in range(n))
+        assert all(g.degree(v) == top for v in bits(cell))
+        # isomorphism-invariant: a relabeled copy's cell is the image of this one
+        p = list(range(n))
+        rng.shuffle(p)
+        assert last_cell(relabel(g, p)) == sum(1 << p[v] for v in bits(cell))
+    assert last_cell(Graph.from_edge_list(0, [])) == 0
+
+
+def test_labelings_are_pinned():
+    # sha256 over (form, labeling) of a seeded corpus, colored and plain:
+    # enumeration accepts a child by the vertex its labeling puts last, so a
+    # change to the labeling, not only to the form, changes what it emits
+    rng = random.Random(12)
+    h = hashlib.sha256()
+    for _ in range(3000):
+        n = rng.randint(0, 11)
+        g = random_graph(rng, n, rng.random())
+        colors = None if rng.random() < 0.5 else [rng.randrange(3) for _ in range(n)]
+        form, perm = canonical_labeling(g, colors)
+        h.update(form.data + bytes(perm))
+    assert h.hexdigest() == "f31db1ed146c8a44b859382a412a300d93a1716051c917af60c4e63de1e8b921"

@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,3 +185,43 @@ def test_unknown_subcommand_exits_two():
     with pytest.raises(SystemExit) as exc:
         run(["frobnicate"])
     assert exc.value.code == 2
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away."""
+
+    def write(self, s):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+def test_closed_stdout_is_not_an_input_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    code = run(["tabulate", "--n", "3"])
+    assert code not in (0, 1, 2)
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_exits_quietly():
+    # stdout is a pipe whose read end is closed before the child starts, so
+    # its first write fails; the child must neither report an error nor
+    # fail again when the interpreter flushes at exit
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cmd = "import sys; from indtree.cli import run; sys.exit(run(sys.argv[1:]))"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", cmd, "tabulate", "--n", "3"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

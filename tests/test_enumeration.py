@@ -1,7 +1,9 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
+import networkx as nx
 import pytest
 
 from indtree import (
@@ -19,7 +21,9 @@ from indtree import (
     max_induced_tree_through,
     t3_star_formula,
     tabulate,
+    to_graph6,
 )
+from indtree.enumeration import _children
 
 
 def labeled_filter_classes(n):
@@ -149,3 +153,42 @@ def test_tabulate_invariants_hold(enum_cache):
         assert rep.t3_star <= rep.t3
         assert rep.t3_star == rep.t3_star_formula
         assert rep.graphs_seen == len(enum_cache(n))
+
+
+# sha256 of the emitted graph6 lines, joined by newlines, in emission order;
+# the pruning in front of canonical labeling must leave every byte in place
+EMISSION_SHA256 = {
+    8: "5ac6649e7576058f77cead9c87c762438d670a7c1fbd3c96a92f506095e0ff56",
+    9: "bc8de5ca9731dab068ba0e0adb83d6ea40b5f048dc4208fe2693641335b7fbbc",
+}
+
+
+@pytest.mark.parametrize("n", sorted(EMISSION_SHA256))
+def test_emission_digest_is_pinned(n, enum_cache):
+    text = b"\n".join(to_graph6(g) for g in enum_cache(n))
+    assert hashlib.sha256(text).hexdigest() == EMISSION_SHA256[n]
+
+
+@pytest.mark.filterwarnings("ignore:The hashes produced:UserWarning")  # only buckets here
+def test_no_two_classes_isomorphic_by_networkx(enum_cache):
+    buckets = {}
+    for g in enum_cache(8):
+        G = nx.Graph()
+        G.add_nodes_from(range(g.n))
+        G.add_edges_from(g.edges())
+        buckets.setdefault(nx.weisfeiler_lehman_graph_hash(G), []).append(G)
+    assert sum(map(len, buckets.values())) == 267
+    for members in buckets.values():
+        for a, b in itertools.combinations(members, 2):
+            assert not nx.is_isomorphic(a, b)
+
+
+def test_children_reach_every_triangle_free_graph():
+    # the augmentation tree below K1, disconnected graphs included, holds one
+    # graph per class of triangle-free graphs at each order (OEIS A006785)
+    level = [Graph.from_edge_list(1, [])]
+    counts = [1]
+    for _ in range(8):
+        level = [child for g in level for child in _children(g)]
+        counts.append(len(level))
+    assert counts == [1, 2, 3, 7, 14, 38, 107, 410, 1897]

@@ -155,3 +155,20 @@ def test_edge_list_text_rejects_bad_input():
         from_edge_list_text("3 1\n0 x\n")
     with pytest.raises(GraphError):
         from_edge_list_text("3 1\n0 7\n")
+
+
+def test_edge_list_text_takes_ascii_digits_only():
+    # int() alone accepts each of these tokens
+    for text in (
+        "\u0663 1\n\u0660 \u0661\n",  # Arabic-Indic digits
+        "3 1\n0 \u0661\n",
+        "3 1\n0 \u00b2\n",  # superscript two
+        "3 1\n+0 1\n",
+        "3 1\n0 1_0\n",
+        "-3 0\n",
+        "3 1\n0 -1\n",
+        "3 1\n0 " + "1" * 5000 + "\n",  # past int()'s digit limit
+    ):
+        with pytest.raises(GraphError):
+            from_edge_list_text(text)
+    assert from_edge_list_text("3 1\n00 2\n") == Graph.from_edge_list(3, [(0, 2)])
