@@ -19,7 +19,7 @@ from typing import Sequence
 
 from . import verify as verify_mod
 from .constructions import build_b_k, build_g_k, build_knn_minus_pm
-from .enumeration import enumerate_connected_triangle_free, tabulate
+from .enumeration import EnumerationReport, enumerate_connected_triangle_free, tabulate
 from .formats import (
     from_edge_list_text,
     read_graph6_lines,
@@ -113,11 +113,27 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         return 0
     if args.command == "tabulate":
         rep = tabulate(args.n, override_budget=args.override_budget)
-        print(json.dumps(dataclasses.asdict(rep), indent=2))
+        if args.json:
+            print(json.dumps(dataclasses.asdict(rep), indent=2))
+        else:
+            _print_tabulate(rep)
         return 0
     if args.command == "verify":
         return _cmd_verify(args, parser)
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def _print_tabulate(rep: EnumerationReport) -> None:
+    """One ``field: value`` line per report field; a rooted extremal instance
+    is written ``graph6:root`` (graph6 has no ':')."""
+    print(f"n: {rep.n}")
+    print(f"graphs_seen: {rep.graphs_seen}")
+    print(f"t3: {rep.t3}")
+    print(f"t3_star: {rep.t3_star}")
+    print(f"t3_star_formula: {rep.t3_star_formula}")
+    print("extremal_rooted: " + " ".join(f"{g6}:{v}" for g6, v in rep.extremal_rooted))
+    print("extremal_unrooted: " + " ".join(rep.extremal_unrooted))
+    print(f"elapsed: {rep.elapsed:.3f}")
 
 
 def _cmd_construct(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, RootedGraph, bits, is_induced_tree, vertex_list
+from .graph import Graph, GraphError, RootedGraph, is_induced_tree, vertex_list
 
 _BRUTE_FORCE_MAX_N = 20
 
@@ -37,83 +37,91 @@ class TreeSearchResult:
         return tuple(vertex_list(self.witness))
 
 
-class _Search:
-    """One rooted branch-and-bound run over an immutable graph."""
+def _search(
+    g: Graph, root: int, forbidden: int = 0, stop_at: int | None = None
+) -> tuple[int, int, SearchStats]:
+    """Largest induced tree through ``root`` that avoids ``forbidden``.
 
-    __slots__ = ("adj", "full", "best_size", "best_set", "nodes", "prunings", "stop_at")
+    Returns its size, its vertex set and the search counters. With
+    ``stop_at`` the search ends at the first tree of that size, and only
+    trees of that size or larger are searched for.
 
-    def __init__(self, g: Graph, stop_at: int | None = None):
-        self.adj = g.adj
-        self.full = g.full_mask
-        self.best_size = 0
-        self.best_set = 0
-        self.nodes = 0
-        self.prunings = 0
-        self.stop_at = stop_at
-
-    def run(self, root: int, forbidden: int) -> bool:
-        return self._rec(1 << root, forbidden)
-
-    def _rec(self, chosen: int, forbidden: int) -> bool:
-        adj = self.adj
-        self.nodes += 1
-        undecided = self.full & ~chosen & ~forbidden
-        # cycle exclusion: a vertex with >= 2 neighbors in the connected
-        # chosen set would close a cycle, so it can never be added
-        kill = 0
-        for v in bits(undecided):
-            if (adj[v] & chosen).bit_count() >= 2:
-                kill |= 1 << v
-        forbidden |= kill
-        undecided &= ~kill
-
+    Depth-first over nodes (chosen, forbidden, near) on an explicit stack, so
+    the depth is not bounded by Python's recursion limit. ``chosen`` is a
+    connected acyclic set holding the root; ``near`` is the union of the
+    chosen vertices' neighbourhoods. Every undecided vertex has at most one
+    chosen neighbour: adding ``pick`` forbids ``adj[pick] & near``, the
+    vertices it would give a second one, as they would close a cycle. The
+    frontier is then ``near & undecided``. A node branches on the frontier
+    vertex with the most undecided neighbours (the lowest index on ties),
+    including it first.
+    """
+    adj = g.adj
+    full = g.full_mask
+    best_size = 0
+    best_set = 0
+    nodes = 0
+    prunings = 0
+    # max(best_size, stop_at - 1): a node is searched only if its bound passes bar
+    bar = 0 if stop_at is None else stop_at - 1
+    stack = [(1 << root, forbidden, adj[root])]
+    while stack:
+        chosen, forbidden, near = stack.pop()
+        nodes += 1
+        undecided = full & ~chosen & ~forbidden
         size = chosen.bit_count()
-        if size > self.best_size:
-            self.best_size = size
-            self.best_set = chosen
-            if self.stop_at is not None and size >= self.stop_at:
-                return True
-
+        if size > best_size:
+            best_size = size
+            best_set = chosen
+            if size > bar:
+                bar = size
+            if stop_at is not None and size >= stop_at:
+                break
         # upper bound: only undecided vertices reachable from chosen through
-        # undecided territory can ever join this tree
-        reach = chosen
-        frontier = chosen
-        while frontier:
+        # undecided territory can ever join this tree; the walk is skipped
+        # when all undecided vertices together cannot pass bar, and stops
+        # once it has found more than bar
+        if size + undecided.bit_count() <= bar:
+            prunings += 1
+            continue
+        front = near & undecided
+        reach = chosen | front
+        ub = size + front.bit_count()
+        frontier = front
+        while frontier and ub <= bar:
             grow = 0
-            for v in bits(frontier):
-                grow |= adj[v]
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
             frontier = grow & undecided & ~reach
             reach |= frontier
-        ub = reach.bit_count()
-        bar = self.best_size if self.stop_at is None else max(self.best_size, self.stop_at - 1)
+            ub += frontier.bit_count()
         if ub <= bar:
-            self.prunings += 1
-            return False
-
-        front = 0
-        for v in bits(chosen):
-            front |= adj[v]
-        front &= undecided
-        if not front:
-            return False
-        # branch on the frontier vertex seeing the most undecided vertices
+            prunings += 1
+            continue
         pick = -1
         pick_deg = -1
-        for v in bits(front):
+        rest = front
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
             d = (adj[v] & undecided).bit_count()
             if d > pick_deg:
                 pick_deg = d
                 pick = v
-        if self._rec(chosen | 1 << pick, forbidden):
-            return True
-        return self._rec(chosen, forbidden | 1 << pick)
+            rest ^= low
+        bit = 1 << pick
+        nbrs = adj[pick]
+        stack.append((chosen, forbidden | bit, near))
+        stack.append((chosen | bit, forbidden | nbrs & near & undecided, near | nbrs))
+    return best_size, best_set, SearchStats(nodes, prunings)
 
 
 def max_induced_tree_through(rg: RootedGraph) -> TreeSearchResult:
     """t(G, v): largest induced tree containing the root."""
-    s = _Search(rg.graph)
-    s.run(rg.root, 0)
-    result = TreeSearchResult(s.best_size, s.best_set, rg.root, SearchStats(s.nodes, s.prunings))
+    size, witness, stats = _search(rg.graph, rg.root)
+    result = TreeSearchResult(size, witness, rg.root, stats)
     _check_witness(rg.graph, result)
     return result
 
@@ -134,13 +142,12 @@ def max_induced_tree(g: Graph) -> TreeSearchResult:
     for r in range(g.n):
         if best_size >= g.n - r:
             break
-        s = _Search(g)
-        s.run(r, (1 << r) - 1)
-        nodes += s.nodes
-        prunings += s.prunings
-        if s.best_size > best_size:
-            best_size = s.best_size
-            best_set = s.best_set
+        size, witness, stats = _search(g, r, (1 << r) - 1)
+        nodes += stats.nodes
+        prunings += stats.prunings
+        if size > best_size:
+            best_size = size
+            best_set = witness
     result = TreeSearchResult(best_size, best_set, None, SearchStats(nodes, prunings))
     _check_witness(g, result)
     return result
@@ -154,8 +161,7 @@ def exists_induced_tree_through(rg: RootedGraph, target: int) -> bool:
         return False
     if target == 1:
         return True
-    s = _Search(rg.graph, stop_at=target)
-    return s.run(rg.root, 0)
+    return _search(rg.graph, rg.root, stop_at=target)[0] >= target
 
 
 def brute_force_t(g: Graph, root: int | None = None) -> TreeSearchResult:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import indtree.verify as verify_mod
-from indtree import Graph, canonical_form, from_graph6, to_graph6
+from indtree import Graph, canonical_form, from_graph6, to_edge_list_text, to_graph6
 from indtree.cli import run
 from indtree.verify import FailureRecord, VerificationReport
 
@@ -55,6 +55,15 @@ def test_solve_graph6_file(tmp_path, capsys):
     assert run(["solve", "--input", str(c5_file(tmp_path))]) == 0
     out = capsys.readouterr().out
     assert out.startswith("t=4 witness=[")
+
+
+def test_solve_long_path(tmp_path, capsys):
+    n = 1200
+    g = Graph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    path = tmp_path / "path.txt"
+    path.write_text(to_edge_list_text(g))
+    assert run(["solve", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(f"t={n} witness=[0,1,2,")
 
 
 def test_solve_rooted_json(tmp_path, capsys):
@@ -122,7 +131,7 @@ def test_enumerate_budget_error(capsys):
 
 
 def test_tabulate_json_fields(capsys):
-    assert run(["tabulate", "--n", "4"]) == 0
+    assert run(["tabulate", "--n", "4", "--json"]) == 0
     d = json.loads(capsys.readouterr().out)
     assert set(d) == {
         "n",
@@ -135,6 +144,24 @@ def test_tabulate_json_fields(capsys):
         "elapsed",
     }
     assert d["n"] == 4 and d["t3"] == 3 and d["t3_star"] == 3
+
+
+def test_tabulate_text(capsys):
+    assert run(["tabulate", "--n", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "n",
+        "graphs_seen",
+        "t3",
+        "t3_star",
+        "t3_star_formula",
+        "extremal_rooted",
+        "extremal_unrooted",
+        "elapsed",
+    ]
+    assert lines[:5] == ["n: 4", "graphs_seen: 3", "t3: 3", "t3_star: 3", "t3_star_formula: 3"]
+    # C4 is the only extremal graph, at every root
+    assert lines[5:7] == ["extremal_rooted: C]:0 C]:1 C]:2 C]:3", "extremal_unrooted: C]"]
 
 
 def test_verify_pass_exit_zero(capsys):

@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indtree import (
     Graph,
@@ -175,3 +178,73 @@ def test_guards():
         brute_force_t(Graph.from_edge_list(21, []))
     with pytest.raises(GraphError):
         brute_force_t(Graph.from_edge_list(3, []), 3)
+
+
+def path(n):
+    return Graph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def test_long_path_unrooted():
+    # deeper than Python's recursion limit: the search keeps its own stack
+    assert max_induced_tree(path(5000)).size == 5000
+
+
+def test_long_path_rooted_in_the_middle():
+    assert max_induced_tree_through(RootedGraph(path(5000), 2500)).size == 5000
+
+
+@st.composite
+def graphs_with_root(draw):
+    n = draw(st.integers(1, 14))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = draw(st.integers(0, len(pairs)))
+    edges = draw(st.permutations(pairs))[:m]
+    return Graph.from_edge_list(n, edges), draw(st.integers(0, n - 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(graphs_with_root())
+@example((Graph.from_edge_list(4, [(0, 1), (1, 2), (0, 2)]), 3))  # triangle + isolated
+@example((Graph.from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)]), 4))
+def test_matches_oracle_on_arbitrary_graphs(case):
+    g, v = case
+    res = max_induced_tree(g)
+    assert res.size == brute_force_t(g).size
+    assert is_induced_tree(g, res.witness)
+    rg = RootedGraph(g, v)
+    rres = max_induced_tree_through(rg)
+    assert rres.size == brute_force_t(g, v).size
+    assert is_induced_tree(g, rres.witness) and rres.witness >> v & 1
+    assert exists_induced_tree_through(rg, rres.size)
+    assert not exists_induced_tree_through(rg, rres.size + 1)
+    assert max(max_induced_tree_through(RootedGraph(g, u)).size for u in range(g.n)) == res.size
+
+
+def test_search_tree_is_pinned():
+    # sha256 over (size, witness, nodes, prunings) of every search on a seeded
+    # corpus: witnesses and counters depend on the pick rule, the bound and
+    # the visit order, so a faster search must still walk the same tree
+    rng = random.Random(14)
+    h = hashlib.sha256()
+    triangles = disconnected = 0
+    for _ in range(80):
+        n = rng.randint(1, 16)
+        g = random_graph(rng, n, rng.random() * 0.6)
+        triangles += not is_triangle_free(g)
+        disconnected += not is_connected(g)
+        res = max_induced_tree(g)
+        h.update(repr((res.size, res.witness, res.stats.nodes, res.stats.prunings)).encode())
+        for v in range(n):
+            rg = RootedGraph(g, v)
+            r = max_induced_tree_through(rg)
+            h.update(repr((r.size, r.witness, r.stats.nodes, r.stats.prunings)).encode())
+            h.update(
+                bytes(
+                    [
+                        exists_induced_tree_through(rg, r.size),
+                        exists_induced_tree_through(rg, r.size + 1),
+                    ]
+                )
+            )
+    assert triangles >= 10 and disconnected >= 10
+    assert h.hexdigest() == "5f83ba77415bb444b38f196ef09290b7eca285626a4dc1f26623a8c862bf9b66"
