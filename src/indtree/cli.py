@@ -6,6 +6,9 @@ Subcommands: construct, solve, enumerate, tabulate, verify. Exit codes:
 Graphs are read as graph6 lines or as edge-list text ("n m" header then one
 "u v" pair per line); output format mirrors the input conventions so
 subcommands pipe into each other.
+The library walks any order in 1..MAX_N (12); the budget is this module's:
+enumerate, tabulate and verify stop at order DEFAULT_MAX_N (11) unless given
+--override-budget, since n = 12 runs far longer than the 75 s of n = 11.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Sequence
 
 from . import verify as verify_mod
 from .constructions import build_b_k, build_g_k, build_knn_minus_pm
-from .enumeration import EnumerationReport, enumerate_connected_triangle_free, tabulate
+from .enumeration import MAX_N, EnumerationReport, enumerate_connected_triangle_free, tabulate
 from .formats import (
     from_edge_list_text,
     read_graph6_lines,
@@ -28,6 +31,8 @@ from .formats import (
 )
 from .graph import Graph, GraphError, RootedGraph
 from .solver import max_induced_tree, max_induced_tree_through
+
+DEFAULT_MAX_N = 11
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,19 +105,28 @@ def main() -> None:
     sys.exit(run())
 
 
+def _check_budget(args: argparse.Namespace) -> None:
+    """Refuse an order above DEFAULT_MAX_N unless --override-budget is given."""
+    if args.command == "verify":
+        order = None if args.claim == "counterexample_b5" else args.max_n
+    else:
+        order = getattr(args, "n", None)
+    if order is not None and order > DEFAULT_MAX_N and not args.override_budget:
+        raise GraphError(f"order {order} > {DEFAULT_MAX_N} needs --override-budget (up to {MAX_N})")
+
+
 def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _check_budget(args)
     if args.command == "construct":
         return _cmd_construct(args, parser)
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "enumerate":
-        for g in enumerate_connected_triangle_free(
-            args.n, override_budget=args.override_budget
-        ):
+        for g in enumerate_connected_triangle_free(args.n):
             print(to_graph6(g).decode("ascii"))
         return 0
     if args.command == "tabulate":
-        rep = tabulate(args.n, override_budget=args.override_budget)
+        rep = tabulate(args.n)
         if args.json:
             print(json.dumps(dataclasses.asdict(rep), indent=2))
         else:
@@ -221,23 +235,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     claim = args.claim
-    if claim in ("theorem1", "theorem2", "corollary"):
-        if args.max_n is None:
-            parser.error(f"--claim {claim} needs --max-n")
-        fn = {
-            "theorem1": verify_mod.verify_theorem1,
-            "theorem2": verify_mod.verify_theorem2,
-            "corollary": verify_mod.verify_corollary,
-        }[claim]
-        rep = fn(args.max_n, override_budget=args.override_budget)
-    elif claim == "counterexample_b5":
+    if claim == "counterexample_b5":
         rep = verify_mod.verify_counterexample_b5()
-    else:
+    elif args.max_n is None:
+        parser.error(f"--claim {claim} needs --max-n")
+    elif claim == "diameter_remark":
         if args.k is None:
             parser.error("--claim diameter_remark needs --k")
-        rep = verify_mod.verify_diameter_remark(
-            args.k, max_n=args.max_n, override_budget=args.override_budget
-        )
+        rep = verify_mod.verify_diameter_remark(args.k, args.max_n)
+    else:  # theorem1, theorem2, corollary
+        rep = getattr(verify_mod, f"verify_{claim}")(args.max_n)
     if args.json:
         print(json.dumps(rep.to_json_dict(), indent=2))
     else:

@@ -11,6 +11,9 @@ per-parent seen-set is the only deduplication needed.
 Intermediate graphs may be disconnected; connectivity is enforced only on
 the final n-vertex graphs. The search is depth-first, so memory stays
 proportional to n, not to the class counts.
+
+Orders 1..MAX_N are accepted. A default budget is the caller's: the n = 11
+walk took 75 s, and the CLI asks for a flag before it starts n = 12.
 """
 
 from __future__ import annotations
@@ -24,8 +27,7 @@ from .formats import to_graph6
 from .graph import Graph, GraphError, RootedGraph, is_connected
 from .solver import max_induced_tree_through
 
-DEFAULT_MAX_N = 11
-HARD_MAX_N = 12
+MAX_N = 12
 
 
 @dataclass(frozen=True)
@@ -63,21 +65,19 @@ def t3_star_formula(n: int) -> int:
     return k
 
 
-def enumerate_connected_triangle_free(
-    n: int, *, override_budget: bool = False
-) -> Iterator[Graph]:
-    """Yield one representative per isomorphism class of connected
-    triangle-free graphs on n vertices.
+def _check_order(n: int, name: str = "n") -> None:
+    """Raise GraphError unless 1 <= n <= MAX_N; ``name`` labels the message."""
+    if not 1 <= n <= MAX_N:
+        raise GraphError(f"{name} must be in 1..{MAX_N}, got {n}")
 
-    The default budget stops at n = 11; n = 12 takes minutes and must be
-    requested with override_budget=True. Emission order is deterministic.
+
+def enumerate_connected_triangle_free(n: int) -> Iterator[Graph]:
+    """Yield one representative per isomorphism class of connected
+    triangle-free graphs on n vertices, 1 <= n <= MAX_N.
+
+    Emission order is deterministic.
     """
-    limit = HARD_MAX_N if override_budget else DEFAULT_MAX_N
-    if not 1 <= n <= limit:
-        raise GraphError(
-            f"n must be in 1..{limit} (got {n}); "
-            f"n up to {HARD_MAX_N} needs override_budget=True"
-        )
+    _check_order(n)
     yield from _extend(Graph.from_edge_list(1, []), n)
 
 
@@ -140,20 +140,18 @@ def _independent_sets(g: Graph) -> list[int]:
     return sets
 
 
-def rooted_census(
-    n: int, *, override_budget: bool = False
-) -> Iterator[tuple[Graph, str, tuple[int, ...]]]:
+def rooted_census(n: int) -> Iterator[tuple[Graph, str, tuple[int, ...]]]:
     """Yield (g, graph6, sizes) for every class on n vertices, sizes[v] = t(G, v).
 
     One enumeration walk and one rooted solve per (G, v). Every exhaustive
     claim over rooted graphs reads this stream; t(G) is max(sizes).
     """
-    for g in enumerate_connected_triangle_free(n, override_budget=override_budget):
+    for g in enumerate_connected_triangle_free(n):
         g6 = to_graph6(g).decode("ascii")
         yield g, g6, tuple(max_induced_tree_through(RootedGraph(g, v)).size for v in range(n))
 
 
-def tabulate(n: int, *, override_budget: bool = False) -> EnumerationReport:
+def tabulate(n: int) -> EnumerationReport:
     """Exact t3(n) and t3_star(n) with every extremal witness.
 
     One pass over rooted_census: every vertex of every graph is tried as the
@@ -165,7 +163,7 @@ def tabulate(n: int, *, override_budget: bool = False) -> EnumerationReport:
     t3s = n + 1
     ext_unrooted: list[str] = []
     ext_rooted: list[tuple[str, int]] = []
-    for _, g6, sizes in rooted_census(n, override_budget=override_budget):
+    for _, g6, sizes in rooted_census(n):
         seen += 1
         tg = max(sizes)
         if tg < t3:

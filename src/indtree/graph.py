@@ -70,9 +70,13 @@ class Graph:
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge list; duplicate pairs collapse.
 
-        Raises :class:`GraphError` on endpoints outside ``0..n-1`` or loops.
+        Raises :class:`GraphError` on endpoints outside ``0..n-1``, loops, or
+        an ``n`` too large for a list of rows.
         """
-        rows = [0] * n
+        try:
+            rows = [0] * n
+        except (OverflowError, MemoryError):
+            raise GraphError(f"cannot allocate {n} adjacency rows") from None
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")

@@ -32,8 +32,7 @@ from typing import Callable
 from .canon import are_rooted_isomorphic
 from .constructions import build_b_k, build_g_k, build_knn_minus_pm
 from .enumeration import (
-    DEFAULT_MAX_N,
-    HARD_MAX_N,
+    _check_order,
     enumerate_connected_triangle_free,
     rooted_census,
     tabulate,
@@ -109,13 +108,7 @@ def _report(
     )
 
 
-def _check_budget(max_n: int, override_budget: bool) -> None:
-    limit = HARD_MAX_N if override_budget else DEFAULT_MAX_N
-    if not 1 <= max_n <= limit:
-        raise GraphError(f"max_n must be in 1..{limit}, got {max_n}")
-
-
-def verify_theorem1(max_n: int, *, override_budget: bool = False) -> VerificationReport:
+def verify_theorem1(max_n: int) -> VerificationReport:
     """Order bound and uniqueness of the extremal rooted graph.
 
     For every connected triangle-free graph on n <= max_n vertices and every
@@ -123,31 +116,30 @@ def verify_theorem1(max_n: int, *, override_budget: bool = False) -> Verificatio
     and in the equality case the rooted graph is the blown-up path from
     build_g_k(k) rooted at its singleton class.
     """
-    return _verify_rooted("theorem1", _theorem1_failure, max_n, override_budget)
+    return _verify_rooted("theorem1", _theorem1_failure, max_n)
 
 
-def verify_theorem2(max_n: int, *, override_budget: bool = False) -> VerificationReport:
+def verify_theorem2(max_n: int) -> VerificationReport:
     """Bound on vertices outside the root's closed neighborhood.
 
     Same instance stream as verify_theorem1: for every (G, v) with
     k = t(G, v), at most (k-2)(k-1)/2 vertices avoid N[v].
     """
-    return _verify_rooted("theorem2", _theorem2_failure, max_n, override_budget)
+    return _verify_rooted("theorem2", _theorem2_failure, max_n)
 
 
 def _verify_rooted(
     claim: str,
     failure: Callable[[Graph, str, int, int], FailureRecord | None],
     max_n: int,
-    override_budget: bool,
 ) -> VerificationReport:
     """Run ``failure(g, graph6, v, k)`` on every (G, v) of the census up to max_n."""
-    _check_budget(max_n, override_budget)
+    _check_order(max_n, "max_n")
     start = time.perf_counter()
     instances = 0
     failures: list[FailureRecord] = []
     for n in range(1, max_n + 1):
-        for g, g6, sizes in rooted_census(n, override_budget=override_budget):
+        for g, g6, sizes in rooted_census(n):
             instances += n
             for v, k in enumerate(sizes):
                 record = failure(g, g6, v, k)
@@ -177,7 +169,7 @@ def _theorem2_failure(g: Graph, g6: str, v: int, k: int) -> FailureRecord | None
     )
 
 
-def verify_corollary(max_n: int, *, override_budget: bool = False) -> VerificationReport:
+def verify_corollary(max_n: int) -> VerificationReport:
     """Closed form for the rooted minimum; sandwich for the unrooted one.
 
     Per n: the tabulated rooted minimum equals t3_star_formula(n); it is at
@@ -185,7 +177,7 @@ def verify_corollary(max_n: int, *, override_budget: bool = False) -> Verificati
     B_k, the unrooted minimum is at most k <= floor(2*sqrt(n)) + 1, which is
     the certificate form of the upper bound.
     """
-    _check_budget(max_n, override_budget)
+    _check_order(max_n, "max_n")
     start = time.perf_counter()
     instances = 0
     failures: list[FailureRecord] = []
@@ -195,7 +187,7 @@ def verify_corollary(max_n: int, *, override_budget: bool = False) -> Verificati
         b_orders[(k + 1) ** 2 // 4] = k
         k += 1
     for n in range(1, max_n + 1):
-        rep = tabulate(n, override_budget=override_budget)
+        rep = tabulate(n)
         instances += rep.graphs_seen
         g6_any = rep.extremal_rooted[0][0] if rep.extremal_rooted else ""
         if rep.t3_star != rep.t3_star_formula:
@@ -261,9 +253,7 @@ def verify_counterexample_b5() -> VerificationReport:
     return _report("counterexample_b5", (), 2, failures, start)
 
 
-def verify_diameter_remark(
-    k: int, *, max_n: int | None = None, override_budget: bool = False
-) -> VerificationReport:
+def verify_diameter_remark(k: int, max_n: int) -> VerificationReport:
     """Order-extremality of B_k under a fixed diameter.
 
     No connected triangle-free graph with diameter exactly k-1 and tree
@@ -273,28 +263,28 @@ def verify_diameter_remark(
     """
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
-    if max_n is None:
-        max_n = DEFAULT_MAX_N
-    _check_budget(max_n, override_budget)
+    _check_order(max_n, "max_n")
+    order = (k + 1) ** 2 // 4  # |B_k|, known before B_k is built
+    if order + 1 > max_n:
+        raise GraphError(
+            f"nothing to check: |B_{k}| + 1 = {order + 1} exceeds max_n = {max_n}"
+        )
     start = time.perf_counter()
     bk = build_b_k(k)
     failures: list[FailureRecord] = []
     t_bk = max_induced_tree(bk).size
-    if diameter(bk) != k - 1 or t_bk > k:
+    d_bk = diameter(bk)
+    if d_bk != k - 1 or t_bk > k:
         failures.append(
             FailureRecord(
                 to_graph6(bk).decode("ascii"),
                 None,
-                (("n", bk.n), ("diameter", diameter(bk)), ("t", t_bk)),
+                (("n", bk.n), ("diameter", d_bk), ("t", t_bk)),
             )
-        )
-    if bk.n + 1 > max_n:
-        raise GraphError(
-            f"nothing to check: |B_{k}| + 1 = {bk.n + 1} exceeds max_n = {max_n}"
         )
     instances = 1
     for n in range(bk.n + 1, max_n + 1):
-        for g in enumerate_connected_triangle_free(n, override_budget=override_budget):
+        for g in enumerate_connected_triangle_free(n):
             instances += 1
             if diameter(g) != k - 1:
                 continue

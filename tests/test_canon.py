@@ -4,6 +4,8 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from indtree import (
     Graph,
@@ -343,3 +345,41 @@ def test_labelings_are_pinned():
         form, perm = canonical_labeling(g, colors)
         h.update(form.data + bytes(perm))
     assert h.hexdigest() == "f31db1ed146c8a44b859382a412a300d93a1716051c917af60c4e63de1e8b921"
+
+
+@st.composite
+def rooted_pairs(draw):
+    """Two rooted graphs on the same 1..8 vertices; half the time the second
+    is a relabeled copy of the first, with the root carried over or not."""
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+
+    def graph():
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        return Graph.from_edge_list(n, edges)
+
+    a, ra = graph(), draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(n)))
+        b = relabel(a, perm)
+        rb = perm[ra] if draw(st.booleans()) else draw(st.integers(0, n - 1))
+    else:
+        b, rb = graph(), draw(st.integers(0, n - 1))
+    return a, ra, b, rb
+
+
+def rooted_nx(g, root):
+    G = to_nx(g)
+    nx.set_node_attributes(G, {v: v == root for v in range(g.n)}, "root")
+    return G
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(rooted_pairs())
+def test_forms_agree_with_networkx_isomorphism(case):
+    a, ra, b, rb = case
+    assert (canonical_form(a) == canonical_form(b)) == nx.is_isomorphic(to_nx(a), to_nx(b))
+    same_root = lambda x, y: x["root"] == y["root"]
+    assert are_rooted_isomorphic(RootedGraph(a, ra), RootedGraph(b, rb)) == nx.is_isomorphic(
+        rooted_nx(a, ra), rooted_nx(b, rb), node_match=same_root
+    )

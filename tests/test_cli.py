@@ -10,6 +10,7 @@ import pytest
 import indtree.verify as verify_mod
 from indtree import Graph, canonical_form, from_graph6, to_edge_list_text, to_graph6
 from indtree.cli import run
+from indtree.enumeration import EnumerationReport
 from indtree.verify import FailureRecord, VerificationReport
 
 
@@ -109,6 +110,13 @@ def test_solve_non_ascii_input_exits_two(tmp_path, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", ["9223372036854775808 0", "1000000000000000000 0"])
+def test_solve_unallocatable_header_exits_two(header, capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(header + "\n"))
+    assert run(["solve", "--input", "-"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_solve_root_out_of_range(tmp_path, capsys):
     assert run(["solve", "--input", str(c5_file(tmp_path)), "--root", "9"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -127,7 +135,61 @@ def test_enumerate_n4(capsys):
 
 def test_enumerate_budget_error(capsys):
     assert run(["enumerate", "--n", "12"]) == 2
-    assert "override_budget" in capsys.readouterr().err
+    assert "--override-budget" in capsys.readouterr().err
+
+
+ORDER_ARGV = (
+    ["enumerate", "--n"],
+    ["tabulate", "--n"],
+    ["verify", "--claim", "theorem1", "--max-n"],
+)
+
+
+def refuse_walks(monkeypatch):
+    def walk(*args):
+        raise AssertionError("walk started")
+
+    for name in ("enumerate_connected_triangle_free", "tabulate"):
+        monkeypatch.setattr(f"indtree.cli.{name}", walk)
+    monkeypatch.setattr(verify_mod, "verify_theorem1", walk)
+
+
+@pytest.mark.parametrize("argv", ORDER_ARGV)
+def test_order_12_needs_the_budget_flag(argv, capsys, monkeypatch):
+    refuse_walks(monkeypatch)
+    assert run(argv + ["12"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err and "--override-budget" in err
+
+
+@pytest.mark.parametrize("argv", ORDER_ARGV)
+def test_order_13_is_refused_with_the_budget_flag(argv, capsys):
+    assert run(argv + ["13", "--override-budget"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error:" in err
+
+
+def test_budget_flag_passes_order_12_to_the_library(capsys, monkeypatch):
+    seen = []
+
+    def enumerate_stub(n):
+        seen.append(("enumerate", n))
+        return iter([])
+
+    def tabulate_stub(n):
+        seen.append(("tabulate", n))
+        return EnumerationReport(n, 1, 1, 1, 1, (), (), 0.0)
+
+    def theorem1_stub(max_n):
+        seen.append(("theorem1", max_n))
+        return VerificationReport("theorem1", (("max_n", max_n),), 0, "pass", (), 0.0)
+
+    monkeypatch.setattr("indtree.cli.enumerate_connected_triangle_free", enumerate_stub)
+    monkeypatch.setattr("indtree.cli.tabulate", tabulate_stub)
+    monkeypatch.setattr(verify_mod, "verify_theorem1", theorem1_stub)
+    for argv in ORDER_ARGV:
+        assert run(argv + ["12", "--override-budget"]) == 0
+    assert seen == [("enumerate", 12), ("tabulate", 12), ("theorem1", 12)]
 
 
 def test_tabulate_json_fields(capsys):
@@ -181,9 +243,14 @@ def test_verify_diameter_remark(capsys):
 
 
 def test_verify_missing_max_n():
-    with pytest.raises(SystemExit) as exc:
-        run(["verify", "--claim", "corollary"])
-    assert exc.value.code == 2
+    for argv in (["--claim", "corollary"], ["--claim", "diameter_remark", "--k", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", *argv])
+        assert exc.value.code == 2
+
+
+def test_counterexample_b5_ignores_max_n(capsys):
+    assert run(["verify", "--claim", "counterexample_b5", "--max-n", "12"]) == 0
 
 
 def test_verify_falsified_claim_exits_one(capsys, monkeypatch):

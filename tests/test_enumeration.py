@@ -101,11 +101,15 @@ def test_budget_enforced():
     with pytest.raises(GraphError):
         list(enumerate_connected_triangle_free(0))
     with pytest.raises(GraphError):
-        list(enumerate_connected_triangle_free(12))
+        list(enumerate_connected_triangle_free(13))
     with pytest.raises(GraphError):
-        list(enumerate_connected_triangle_free(13, override_budget=True))
-    with pytest.raises(GraphError):
-        tabulate(12)
+        tabulate(13)
+
+
+@pytest.mark.slow
+def test_class_count_n11():
+    # OEIS A024607; the walk took 75 s, so it runs only under ``-m slow``
+    assert sum(1 for _ in enumerate_connected_triangle_free(11)) == 90842
 
 
 def test_tabulate_small_orders():

@@ -3,6 +3,8 @@ import tracemalloc
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from indtree import (
     Graph,
@@ -172,3 +174,53 @@ def test_edge_list_text_takes_ascii_digits_only():
         with pytest.raises(GraphError):
             from_edge_list_text(text)
     assert from_edge_list_text("3 1\n00 2\n") == Graph.from_edge_list(3, [(0, 2)])
+
+
+# headers that parse but cannot be allocated: past the index size, and past memory
+HUGE_HEADERS = ("9223372036854775808 0\n", "1000000000000000000 0\n")
+
+
+@pytest.mark.parametrize("text", HUGE_HEADERS)
+def test_edge_list_header_too_large_to_allocate(text):
+    with pytest.raises(GraphError):
+        from_edge_list_text(text)
+
+
+# raw bytes, and bytes from graph6's alphabet with line breaks, which reach
+# past the first byte check
+GRAPH6_INPUTS = st.binary(max_size=80) | st.lists(
+    st.integers(63, 126) | st.just(10), max_size=80
+).map(bytes)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(GRAPH6_INPUTS)
+@example(b"~~~~~~~~")  # the largest long header over an empty body
+@example(b"~?~~")
+def test_graph6_parsers_give_graphs_or_parse_errors(data):
+    try:
+        assert isinstance(from_graph6(data), Graph)
+    except Graph6ParseError:
+        pass
+    try:
+        assert all(isinstance(g, Graph) for g in read_graph6_lines(data))
+    except Graph6ParseError:
+        pass
+
+
+# arbitrary text, and lines of zero to three tokens that are small numbers or
+# short arbitrary strings, which reach past the header
+EDGE_LIST_INPUTS = st.text() | st.lists(
+    st.lists(st.integers(0, 40).map(str) | st.text(max_size=3), max_size=3).map(" ".join)
+).map("\n".join)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(EDGE_LIST_INPUTS)
+@example(HUGE_HEADERS[0])
+@example(HUGE_HEADERS[1])
+def test_edge_list_parser_gives_graphs_or_graph_errors(text):
+    try:
+        assert isinstance(from_edge_list_text(text), Graph)
+    except GraphError:
+        pass

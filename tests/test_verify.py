@@ -79,13 +79,22 @@ def test_diameter_remark_guards():
         verify_diameter_remark(3, max_n=13)
 
 
+def test_diameter_remark_checks_the_order_before_building_b_k(monkeypatch):
+    def fail(k):
+        raise AssertionError(f"build_b_k({k}) called")
+
+    monkeypatch.setattr("indtree.verify.build_b_k", fail)
+    with pytest.raises(GraphError):
+        verify_diameter_remark(200, max_n=9)  # |B_200| + 1 = 10101 > 9
+
+
 def test_budget_guards():
     with pytest.raises(GraphError):
-        verify_theorem1(12)
+        verify_theorem1(13)
     with pytest.raises(GraphError):
         verify_theorem2(0)
     with pytest.raises(GraphError):
-        verify_corollary(13, override_budget=True)
+        verify_corollary(13)
 
 
 def test_reports_deterministic_up_to_elapsed():
