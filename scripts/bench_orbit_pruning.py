@@ -1,0 +1,136 @@
+"""Canon calls and wall time of one enumeration walk, before and after a change.
+
+    python scripts/bench_orbit_pruning.py --base REV [--out BENCH_orbit_pruning.json]
+
+Measures two source trees: ``src/`` of git revision REV, extracted with
+``git archive`` into a temporary directory, and ``src/`` of this checkout.
+For each tree and each order n = 7..10 a fresh interpreter walks
+``enumerate_connected_triangle_free(n)`` once with the canon functions that
+``indtree.enumeration`` calls (``canonical_labeling``, ``last_cell``,
+``are_rooted_isomorphic``) wrapped in call counters, then REPEATS more times
+unwrapped for the wall time. The counts are exact and machine-independent;
+the wall times are recorded with the host that produced them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from io import BytesIO
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+ORDERS = (7, 8, 9, 10)
+REPEATS = 3
+COUNTED = ("canonical_labeling", "last_cell", "are_rooted_isomorphic")
+
+
+def measure(n: int) -> dict:
+    """Counted walk, then REPEATS timed walks, of order n in this interpreter."""
+    from indtree import enumeration
+
+    calls = dict.fromkeys(COUNTED, 0)
+
+    def counting(name):
+        fn = getattr(enumeration, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    originals = {name: getattr(enumeration, name) for name in COUNTED}
+    for name in COUNTED:
+        setattr(enumeration, name, counting(name))
+    try:
+        classes = sum(1 for _ in enumeration.enumerate_connected_triangle_free(n))
+    finally:
+        for name, fn in originals.items():
+            setattr(enumeration, name, fn)
+    seconds = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        sum(1 for _ in enumeration.enumerate_connected_triangle_free(n))
+        seconds.append(round(time.perf_counter() - start, 3))
+    return {
+        "n": n,
+        "classes": classes,
+        "calls": calls,
+        "wall_s": seconds,
+        "wall_s_median": statistics.median(seconds),
+    }
+
+
+def run_tree(src: Path) -> list[dict]:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    rows = []
+    for n in ORDERS:
+        out = subprocess.run(
+            [sys.executable, __file__, "--measure", str(n)],
+            env=env, check=True, capture_output=True, text=True,
+        ).stdout
+        rows.append(json.loads(out))
+        print(f"{src}: {rows[-1]}", file=sys.stderr)
+    return rows
+
+
+def host() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "cpus": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--base", help="git revision to compare against")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_orbit_pruning.json"))
+    ap.add_argument("--measure", type=int, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.measure is not None:
+        print(json.dumps(measure(args.measure)))
+        return
+    if args.base is None:
+        ap.error("--base is required")
+    rev = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev, "src"], check=True, capture_output=True
+    ).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        before = run_tree(Path(tmp) / "src")
+    after = run_tree(ROOT / "src")
+    report = {
+        "what": "one enumerate_connected_triangle_free(n) walk per order: canon calls made "
+        "from indtree.enumeration (exact), classes emitted, wall seconds",
+        "host": host(),
+        "repeats": REPEATS,
+        "before": {"rev": rev, "orders": before},
+        "after": {"rev": "working tree", "orders": after},
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

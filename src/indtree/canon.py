@@ -30,12 +30,18 @@ class CanonicalForm:
 
     ``data`` embeds the vertex count and the color multiset, so forms of
     different sizes or colorings never collide. ``colors`` records the input
-    assignment and does not participate in equality.
+    assignment and does not participate in equality. ``automorphisms`` holds
+    the non-identity color-preserving automorphisms of the input that the
+    labeling search met (``phi[v]`` is the image of ``v``), at most
+    _MAX_STORED_AUTOMORPHISMS of them. They may generate only a subgroup of
+    the automorphism group, so they can show two vertices to share an orbit
+    but never that they do not. They do not participate in equality either.
     """
 
     data: bytes
     n: int
     colors: tuple[int, ...] | None = field(default=None, compare=False)
+    automorphisms: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
 
 def canonical_form(g: Graph, colors: Sequence[int] | None = None) -> CanonicalForm:
@@ -67,8 +73,8 @@ def canonical_labeling(
         cells = [
             _mask_where(color_tuple, c) for c in sorted(set(color_tuple))
         ]
-    code, perm = _search(g.adj, n, cells)
-    return CanonicalForm(_pack(n, color_tuple, code), n, color_tuple), perm
+    code, perm, autos = _search(g.adj, n, cells)
+    return CanonicalForm(_pack(n, color_tuple, code), n, color_tuple, autos), perm
 
 
 def are_rooted_isomorphic(a: RootedGraph, b: RootedGraph) -> bool:
@@ -206,11 +212,16 @@ def last_cell(g: Graph) -> int:
 
 def _search(
     adj: tuple[int, ...], n: int, init_cells: list[int]
-) -> tuple[int, tuple[int, ...]]:
-    """Minimal encoding and a labeling achieving it."""
-    best_code: int | None = None
-    best_perm: list[int] | None = None
-    best_inv: list[int] | None = None
+) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Minimal encoding, a labeling achieving it and the stored automorphisms.
+
+    Two leaves with equal encodings differ by an automorphism that maps each
+    vertex of the one to the vertex at the same position in the other; the
+    first _MAX_STORED_AUTOMORPHISMS found are kept for pruning and returned.
+    """
+    best_code = -1  # no leaf yet; every encoding is >= 0
+    best_perm: list[int] = []
+    best_inv: list[int] = []
     autos: list[tuple[int, ...]] = []
 
     def leaf(cells: list[int]) -> None:
@@ -223,7 +234,7 @@ def _search(
             for j in range(i + 1, n):
                 row = row << 1 | (ai >> order[j] & 1)
             code = code << (n - 1 - i) | row
-        if best_code is None or code < best_code:
+        if best_code < 0 or code < best_code:
             best_code = code
             perm = [0] * n
             for pos, v in enumerate(order):
@@ -231,7 +242,6 @@ def _search(
             best_perm = perm
             best_inv = order
         elif code == best_code and len(autos) < _MAX_STORED_AUTOMORPHISMS:
-            assert best_inv is not None and best_perm is not None
             phi = [0] * n
             for pos, v in enumerate(order):
                 phi[v] = best_inv[pos]
@@ -277,5 +287,4 @@ def _search(
             descend(child, base + (v,), equitable)
 
     descend(list(init_cells), (), frozenset())
-    assert best_code is not None and best_perm is not None
-    return best_code, tuple(best_perm)
+    return best_code, tuple(best_perm), tuple(autos)

@@ -53,9 +53,8 @@ class Graph:
             raise GraphError(f"vertex count must be nonnegative, got {n}")
         if len(rows) != n:
             raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
-        full = (1 << n) - 1
         for u, row in enumerate(rows):
-            if row < 0 or row & ~full:
+            if row < 0 or row >> n:
                 raise GraphError(f"adjacency row {u} has bits outside 0..{n - 1}")
             if row >> u & 1:
                 raise GraphError(f"self-loop at vertex {u}")

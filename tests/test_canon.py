@@ -383,3 +383,26 @@ def test_forms_agree_with_networkx_isomorphism(case):
     assert are_rooted_isomorphic(RootedGraph(a, ra), RootedGraph(b, rb)) == nx.is_isomorphic(
         rooted_nx(a, ra), rooted_nx(b, rb), node_match=same_root
     )
+
+
+@st.composite
+def colored_graphs(draw):
+    """A graph on 0..9 vertices, uncolored half the time, else with up to
+    three colors."""
+    n = draw(st.integers(0, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    colors = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return Graph.from_edge_list(n, edges), colors
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(colored_graphs())
+def test_stored_automorphisms_are_automorphisms(case):
+    g, colors = case
+    edges = set(g.edges())
+    for phi in canonical_labeling(g, colors)[0].automorphisms:
+        assert sorted(phi) == list(range(g.n)) and list(phi) != list(range(g.n))
+        assert {tuple(sorted((phi[u], phi[v]))) for u, v in edges} == edges
+        if colors is not None:
+            assert [colors[phi[v]] for v in range(g.n)] == colors

@@ -298,12 +298,17 @@ def test_closed_stdout_is_not_an_input_error(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_closed_pipe_exits_quietly():
     # stdout is a pipe whose read end is closed before the child starts, so
     # its first write fails; the child must neither report an error nor
     # fail again when the interpreter flushes at exit
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = src_env()
     cmd = "import sys; from indtree.cli import run; sys.exit(run(sys.argv[1:]))"
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -319,3 +324,18 @@ def test_closed_pipe_exits_quietly():
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize("module", ["indtree", "indtree.cli"])
+def test_python_dash_m_runs_the_cli(module):
+    def python_m(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, env=src_env(), timeout=60,
+        )
+
+    refused = python_m("enumerate", "--n", "12")
+    assert refused.returncode == 2 and refused.stdout == ""
+    assert refused.stderr.startswith("error:") and "--override-budget" in refused.stderr
+    listed = python_m("enumerate", "--n", "4")
+    assert listed.returncode == 0 and len(listed.stdout.splitlines()) == 3

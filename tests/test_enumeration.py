@@ -23,7 +23,8 @@ from indtree import (
     tabulate,
     to_graph6,
 )
-from indtree.enumeration import _children
+from indtree import enumeration
+from indtree.enumeration import _children, _orbit
 
 
 def labeled_filter_classes(n):
@@ -108,7 +109,7 @@ def test_budget_enforced():
 
 @pytest.mark.slow
 def test_class_count_n11():
-    # OEIS A024607; the walk took 75 s, so it runs only under ``-m slow``
+    # OEIS A024607; the walk takes 37 s, so it runs only under ``-m slow``
     assert sum(1 for _ in enumerate_connected_triangle_free(11)) == 90842
 
 
@@ -164,6 +165,7 @@ def test_tabulate_invariants_hold(enum_cache):
 EMISSION_SHA256 = {
     8: "5ac6649e7576058f77cead9c87c762438d670a7c1fbd3c96a92f506095e0ff56",
     9: "bc8de5ca9731dab068ba0e0adb83d6ea40b5f048dc4208fe2693641335b7fbbc",
+    10: "c217accc82911f4d5e6a569a0db37e15645e0d6603cf5d42d266696db9907811",
 }
 
 
@@ -193,6 +195,45 @@ def test_children_reach_every_triangle_free_graph():
     level = [Graph.from_edge_list(1, [])]
     counts = [1]
     for _ in range(8):
-        level = [child for g in level for child in _children(g)]
+        level = [child for g in level for child, _ in _children(g, (), False)]
         counts.append(len(level))
     assert counts == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
+
+
+def test_children_ignore_which_automorphisms_they_are_given():
+    # the orbit skip and the disconnected-child cut change only what is
+    # labeled, never what is yielded, at every node up to order 8
+    level = [(Graph.from_edge_list(1, []), ())]
+    for _ in range(7):
+        nxt = []
+        for g, autos in level:
+            plain = [child for child, _ in _children(g, (), False)]
+            found = list(_children(g, autos, False))
+            assert [child for child, _ in found] == plain
+            connected = [child for child, _ in _children(g, autos, True)]
+            assert connected == [child for child in plain if is_connected(child)]
+            nxt += found
+        level = nxt
+    assert len(level) == 410
+
+
+def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
+    # every vertex that the stored automorphisms put in the new vertex's
+    # orbit is one that rooted canonical forms put there too
+    accept = enumeration._accept
+    shortcuts = 0
+
+    def checked(child, new, last, autos):
+        nonlocal shortcuts
+        rooted = lambda w: are_rooted_isomorphic(RootedGraph(child, new), RootedGraph(child, w))
+        orbit = [mask.bit_length() - 1 for mask in _orbit(1 << new, autos)]
+        assert all(rooted(w) for w in orbit)
+        shortcuts += last != new and last in orbit
+        answer = accept(child, new, last, autos)
+        assert answer == rooted(last)
+        return answer
+
+    monkeypatch.setattr(enumeration, "_accept", checked)
+    for n in range(1, 9):
+        sum(1 for _ in enumerate_connected_triangle_free(n))
+    assert shortcuts > 0
