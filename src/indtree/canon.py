@@ -8,10 +8,10 @@ they are (color-preserving) isomorphic.
 
 The backtracking search individualizes one vertex of the first non-singleton
 cell at a time. Automorphisms discovered when two leaves tie on the minimal
-encoding are reused to prune sibling branches, which keeps highly symmetric
-inputs (empty graphs, complete bipartite blowups) from exploding; pruning
-never changes the minimum, since a skipped branch is the image of an explored
-one under a known automorphism.
+encoding prune sibling branches, and each tie returns the search to the two
+leaves' common ancestor, as in nauty. This keeps highly symmetric inputs
+(empty graphs, complete bipartite blowups) from exploding, and never changes
+the labeling, since a skipped branch is the image of an explored one.
 """
 
 from __future__ import annotations
@@ -21,8 +21,6 @@ from typing import Sequence
 
 from .graph import Graph, GraphError, RootedGraph, bits
 
-_MAX_STORED_AUTOMORPHISMS = 200
-
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -31,11 +29,9 @@ class CanonicalForm:
     ``data`` embeds the vertex count and the color multiset, so forms of
     different sizes or colorings never collide. ``colors`` records the input
     assignment and does not participate in equality. ``automorphisms`` holds
-    the non-identity color-preserving automorphisms of the input that the
-    labeling search met (``phi[v]`` is the image of ``v``), at most
-    _MAX_STORED_AUTOMORPHISMS of them. They may generate only a subgroup of
-    the automorphism group, so they can show two vertices to share an orbit
-    but never that they do not. They do not participate in equality either.
+    non-identity automorphisms of the input that the labeling search met
+    (``phi[v]`` is the image of ``v``); they generate the whole
+    color-preserving automorphism group and do not participate in equality.
     """
 
     data: bytes
@@ -213,19 +209,31 @@ def last_cell(g: Graph) -> int:
 def _search(
     adj: tuple[int, ...], n: int, init_cells: list[int]
 ) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Minimal encoding, a labeling achieving it and the stored automorphisms.
+    """Minimal encoding, a labeling achieving it and automorphisms that
+    generate the color-preserving automorphism group Aut.
 
-    Two leaves with equal encodings differ by an automorphism that maps each
-    vertex of the one to the vertex at the same position in the other; the
-    first _MAX_STORED_AUTOMORPHISMS found are kept for pruning and returned.
+    A leaf that ties with the best leaf differs from it by an automorphism,
+    which maps each vertex of the one to the vertex at the same position in
+    the other. It is stored, and the search returns to the two leaves'
+    deepest common ancestor, since the rest of the later branch there is the
+    image of the earlier, searched one. No skip loses the first leaf that
+    reaches the minimum, so the labeling is that of the unpruned search. Let
+    b_1..b_L be that leaf's base. An image of b_(i+1) under the stabiliser of
+    b_1..b_i follows b_(i+1) in its cell, or an earlier leaf would reach the
+    minimum. If the search enters it, a tie fixes b_1..b_i and maps it to
+    b_(i+1); if not, it is in the stored maps' orbit of an entered one. So
+    the stored maps have Aut's orbits along that stabiliser chain, and
+    generate Aut.
     """
     best_code = -1  # no leaf yet; every encoding is >= 0
     best_perm: list[int] = []
     best_inv: list[int] = []
+    best_base: tuple[int, ...] = ()
     autos: list[tuple[int, ...]] = []
 
-    def leaf(cells: list[int]) -> None:
-        nonlocal best_code, best_perm, best_inv
+    def leaf(cells: list[int], base: tuple[int, ...]) -> int:
+        """Record the leaf; return the depth of the node to resume at."""
+        nonlocal best_code, best_perm, best_inv, best_base
         order = [c.bit_length() - 1 for c in cells]  # position -> vertex
         code = 0
         for i in range(n):
@@ -241,14 +249,18 @@ def _search(
                 perm[v] = pos
             best_perm = perm
             best_inv = order
-        elif code == best_code and len(autos) < _MAX_STORED_AUTOMORPHISMS:
+            best_base = base
+        elif code == best_code:
             phi = [0] * n
             for pos, v in enumerate(order):
                 phi[v] = best_inv[pos]
-            if any(phi[v] != v for v in range(n)):
-                autos.append(tuple(phi))
+            autos.append(tuple(phi))
+            # the deepest common ancestor; two leaves' bases differ before either ends
+            return next(i for i, (a, b) in enumerate(zip(base, best_base)) if a != b)
+        return len(base)
 
-    def descend(cells: list[int], base: tuple[int, ...], stable: frozenset[int]) -> None:
+    def descend(cells: list[int], base: tuple[int, ...], stable: frozenset[int]) -> int:
+        """Search below the node ``base``; return the depth to resume at."""
         cells = _refine(adj, cells, stable)
         target = -1
         for ci, c in enumerate(cells):
@@ -256,8 +268,7 @@ def _search(
                 target = ci
                 break
         if target < 0:
-            leaf(cells)
-            return
+            return leaf(cells, base)
         cell = cells[target]
         equitable = frozenset(cells)  # no cell splits a refinement of cells
         explored = 0
@@ -266,9 +277,7 @@ def _search(
         for v in bits(cell):
             # skip v if an automorphism fixing the base maps it into an
             # already-explored sibling's orbit
-            for a in autos[checked:]:
-                if all(a[b] == b for b in base):
-                    gens.append(a)
+            gens += [a for a in autos[checked:] if all(a[b] == b for b in base)]
             checked = len(autos)
             orbit = 1 << v
             if gens:
@@ -284,7 +293,10 @@ def _search(
                 continue
             explored |= 1 << v
             child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1 :]
-            descend(child, base + (v,), equitable)
+            resume = descend(child, base + (v,), equitable)
+            if resume < len(base):
+                return resume
+        return len(base)
 
     descend(list(init_cells), (), frozenset())
     return best_code, tuple(best_perm), tuple(autos)

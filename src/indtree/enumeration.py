@@ -5,8 +5,7 @@ from a graph on m vertices by adding one new vertex adjacent to an
 independent set (which preserves triangle-freeness), and the child is kept
 only when the new vertex sits in the same automorphism orbit as the vertex
 in the last position of the child's canonical labeling. Every isomorphism
-class then arrives exactly once from exactly one parent class, so a
-per-parent seen-set is the only deduplication needed.
+class then arrives exactly once, from exactly one parent class.
 
 Intermediate graphs may be disconnected. At the last level a candidate
 whose independent set misses a component of its parent is dropped before it
@@ -14,13 +13,11 @@ is built, since its child would be disconnected; so every n-vertex graph
 reached is connected. The search is depth-first, so memory stays
 proportional to n, not to the class counts.
 
-Each node carries the automorphisms that canon stored while labeling it
-(McKay's orbit pruning, "Isomorph-free exhaustive generation", J.
-Algorithms 26, 1998). A candidate set that they map from an earlier tried
-set gives an isomorphic child by a map fixing the new vertex, with the same
-fate, so it is skipped unlabeled. A child is accepted at once when its own
-stored automorphisms map the new vertex to the last canonical one; they may
-generate only a subgroup, so otherwise rooted canonical forms decide.
+Each node carries the automorphisms that canon stored while labeling it,
+which generate its automorphism group (McKay's orbit pruning, "Isomorph-free
+exhaustive generation", J. Algorithms 26, 1998). One candidate set per orbit
+of that group is tried, and a child is accepted when its own automorphisms
+map the new vertex to the last canonical one.
 
 Orders 1..MAX_N are accepted. A default budget is the caller's: the n = 11
 walk takes 37 s, and the CLI asks for a flag before it starts n = 12.
@@ -32,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .canon import are_rooted_isomorphic, canonical_labeling, last_cell
+from .canon import canonical_labeling, last_cell
 from .formats import to_graph6
 from .graph import Graph, GraphError, RootedGraph, _component_of, bits
 from .solver import max_induced_tree_through
@@ -108,8 +105,8 @@ def _children(
     """Accepted one-vertex extensions of g, one per child class, each with
     the automorphisms canon stored for it.
 
-    ``autos`` are automorphisms of g. A candidate set is dropped before any
-    canonical labeling when
+    ``autos`` generate the automorphism group of g; K1's ``()`` does. A
+    candidate set is dropped before any canonical labeling when
     - the new vertex lies outside the child's ``last_cell``: it is then in
       no orbit of the last canonical vertex, so ``_accept`` would reject
       it. The cell holds only vertices of largest degree, which the first
@@ -119,7 +116,8 @@ def _children(
     - the group generated by ``autos`` maps an earlier tried set onto it.
       The two children are isomorphic by a map that fixes the new vertex,
       so they share their form, ``last_cell`` answer and accept decision,
-      and the earlier one has decided both.
+      and the earlier one has decided both. Accepted children from two
+      orbits are never isomorphic (McKay's lemma), so no seen-set is needed.
     """
     m = g.n
     new = m
@@ -127,7 +125,6 @@ def _children(
     top_mask = sum(1 << v for v, a in enumerate(g.adj) if a.bit_count() == top)
     components = _components(g) if connected else []
     tried: set[int] = set()  # every image of a tried set under autos
-    emitted: set[bytes] = set()
     for s in _independent_sets(g):
         d = s.bit_count()  # degree of new; a vertex of top_mask in s gets top + 1
         if d < top or d == top and s & top_mask:
@@ -141,25 +138,15 @@ def _children(
         if not last_cell(child) >> new & 1:
             continue
         form, perm = canonical_labeling(child)
-        if form.data in emitted:
-            continue
         last = perm.index(m)  # vertex in the final canonical position
-        if _accept(child, new, last, form.automorphisms):
-            emitted.add(form.data)
+        if _accept(new, last, form.automorphisms):
             yield child, form.automorphisms
 
 
-def _accept(child: Graph, new: int, last: int, autos: Automorphisms) -> bool:
-    """Is the new vertex in the same automorphism orbit as ``last``?
-
-    True at once when ``autos``, automorphisms of child, map one to the
-    other. They may generate only a subgroup, so otherwise rooted canonical
-    forms decide, which is unconditionally correct; being merely
-    interchangeable-by-deletion (pseudo-similar) is not enough.
-    """
-    return 1 << last in _orbit(1 << new, autos) or are_rooted_isomorphic(
-        RootedGraph(child, new), RootedGraph(child, last)
-    )
+def _accept(new: int, last: int, autos: Automorphisms) -> bool:
+    """Is the new vertex in the same automorphism orbit as ``last``? ``autos``
+    generate the child's automorphism group, so their orbit decides."""
+    return 1 << last in _orbit(1 << new, autos)
 
 
 def _orbit(s: int, autos: Automorphisms) -> set[int]:

@@ -6,7 +6,7 @@ the output is printable ASCII in 63..126. The vertex count is a one-byte
 header for n <= 62, and a "~"-prefixed multi-byte header above that.
 
 The edge-list text format is "n m" on the first line followed by m lines
-"u v", 0-indexed.
+"u v", 0-indexed, with n <= MAX_EDGE_LIST_N.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ _HEADER_PREFIX = b">>graph6<<"
 _N_SHORT_MAX = 62
 _N_MEDIUM_MAX = 258047
 _N_LONG_MAX = 68719476735
+
+# rows are n-bit ints, so a graph can take n * n / 8 bytes: 512 MiB here
+MAX_EDGE_LIST_N = 1 << 16
 
 
 class Graph6ParseError(GraphError):
@@ -153,7 +156,11 @@ def to_edge_list_text(g: Graph) -> str:
 
 
 def from_edge_list_text(text: str) -> Graph:
-    """Parse the "n m" / "u v" edge-list format."""
+    """Parse the "n m" / "u v" edge-list format.
+
+    A header with n > MAX_EDGE_LIST_N raises GraphError before any row is
+    built.
+    """
     rows = [ln for ln in (line.strip() for line in text.splitlines()) if ln]
     if not rows:
         raise GraphError("empty edge-list input")
@@ -161,6 +168,8 @@ def from_edge_list_text(text: str) -> Graph:
     if len(head) != 2:
         raise GraphError(f"expected 'n m' on the first line, got {rows[0]!r}")
     n, m = _naturals(head, f"non-integer header {rows[0]!r}")
+    if n > MAX_EDGE_LIST_N:
+        raise GraphError(f"edge-list order {n} exceeds the limit {MAX_EDGE_LIST_N}")
     if len(rows) - 1 != m:
         raise GraphError(f"header promises {m} edges, found {len(rows) - 1} lines")
     edges = []

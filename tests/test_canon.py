@@ -12,6 +12,7 @@ from indtree import (
     GraphError,
     RootedGraph,
     are_rooted_isomorphic,
+    blow_up_path,
     canonical_form,
     canonical_labeling,
 )
@@ -386,10 +387,10 @@ def test_forms_agree_with_networkx_isomorphism(case):
 
 
 @st.composite
-def colored_graphs(draw):
-    """A graph on 0..9 vertices, uncolored half the time, else with up to
+def colored_graphs(draw, max_n=9):
+    """A graph on 0..max_n vertices, uncolored half the time, else with up to
     three colors."""
-    n = draw(st.integers(0, 9))
+    n = draw(st.integers(0, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     colors = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
@@ -406,3 +407,46 @@ def test_stored_automorphisms_are_automorphisms(case):
         assert {tuple(sorted((phi[u], phi[v]))) for u, v in edges} == edges
         if colors is not None:
             assert [colors[phi[v]] for v in range(g.n)] == colors
+
+
+def generated_group(n, gens):
+    """Every permutation of range(n) that a product of ``gens`` makes."""
+    group = {tuple(range(n))}
+    stack = list(group)
+    while stack:
+        p = stack.pop()
+        for a in gens:
+            q = tuple(a[v] for v in p)
+            if q not in group:
+                group.add(q)
+                stack.append(q)
+    return group
+
+
+def scanned_automorphisms(g, colors):
+    """Every color-preserving automorphism of g, by scanning all n! maps."""
+    found = set()
+    for p in itertools.permutations(range(g.n)):
+        if colors is not None and any(colors[p[v]] != colors[v] for v in range(g.n)):
+            continue
+        if all(sum(1 << p[w] for w in bits(g.adj[v])) == g.adj[p[v]] for v in range(g.n)):
+            found.add(p)
+    return found
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(colored_graphs(max_n=7))
+def test_stored_automorphisms_generate_the_whole_group(case):
+    g, colors = case
+    autos = canonical_labeling(g, colors)[0].automorphisms
+    assert generated_group(g.n, autos) == scanned_automorphisms(g, colors)
+
+
+def test_symmetric_families_store_few_automorphisms():
+    # edgeless graphs, complete bipartite graphs and stars have groups of
+    # order up to n!; a search that stored every tie without returning to
+    # the common ancestor kept 120 maps for the edgeless graph at n = 16 and
+    # did not finish the edgeless graph on 40 vertices or K_{20,20}
+    families = [s for n in range(16, 21) for s in ([n], [n // 2, n - n // 2], [1, n - 1])]
+    for sizes in families + [[40], [20, 20]]:
+        assert len(canonical_labeling(blow_up_path(sizes))[0].automorphisms) <= sum(sizes) - 1

@@ -117,6 +117,12 @@ def test_solve_unallocatable_header_exits_two(header, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_edge_list_past_the_order_limit_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("65537 0\n"))
+    assert run(["solve", "--input", "-"]) == 2
+    assert "limit" in capsys.readouterr().err
+
+
 def test_solve_root_out_of_range(tmp_path, capsys):
     assert run(["solve", "--input", str(c5_file(tmp_path)), "--root", "9"]) == 2
     assert "error:" in capsys.readouterr().err

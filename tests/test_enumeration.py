@@ -13,6 +13,7 @@ from indtree import (
     are_rooted_isomorphic,
     build_g_k,
     canonical_form,
+    canonical_labeling,
     enumerate_connected_triangle_free,
     from_graph6,
     is_connected,
@@ -24,7 +25,7 @@ from indtree import (
     to_graph6,
 )
 from indtree import enumeration
-from indtree.enumeration import _children, _orbit
+from indtree.enumeration import _children, _independent_sets, _orbit
 
 
 def labeled_filter_classes(n):
@@ -109,8 +110,13 @@ def test_budget_enforced():
 
 @pytest.mark.slow
 def test_class_count_n11():
-    # OEIS A024607; the walk takes 37 s, so it runs only under ``-m slow``
-    assert sum(1 for _ in enumerate_connected_triangle_free(11)) == 90842
+    # OEIS A024607, and the emission digest as for n = 8..10 below; the walk
+    # takes 37 s, so it runs only under ``-m slow``
+    text = [to_graph6(g) for g in enumerate_connected_triangle_free(11)]
+    assert len(text) == 90842
+    assert hashlib.sha256(b"\n".join(text)).hexdigest() == (
+        "a0e2843432cc806dc5cd9a5ec31687582190d0b09c3174538df4ccb6b0b1b0d7"
+    )
 
 
 def test_tabulate_small_orders():
@@ -192,26 +198,45 @@ def test_no_two_classes_isomorphic_by_networkx(enum_cache):
 def test_children_reach_every_triangle_free_graph():
     # the augmentation tree below K1, disconnected graphs included, holds one
     # graph per class of triangle-free graphs at each order (OEIS A006785)
-    level = [Graph.from_edge_list(1, [])]
+    level = [(Graph.from_edge_list(1, []), ())]
     counts = [1]
     for _ in range(8):
-        level = [child for g in level for child, _ in _children(g, (), False)]
+        level = [found for g, autos in level for found in _children(g, autos, False)]
         counts.append(len(level))
     assert counts == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
 
 
-def test_children_ignore_which_automorphisms_they_are_given():
-    # the orbit skip and the disconnected-child cut change only what is
-    # labeled, never what is yielded, at every node up to order 8
+def reference_children(g):
+    """Children of g by the uncut algorithm: every independent set in
+    ``_independent_sets`` order, labeled, kept when rooted canonical forms put
+    the new vertex with the last canonical one and its form is new here."""
+    new = g.n
+    kept, forms = [], set()
+    for s in _independent_sets(g):
+        child = Graph(new + 1, tuple(a | (s >> v & 1) << new for v, a in enumerate(g.adj)) + (s,))
+        form, perm = canonical_labeling(child)
+        last = perm.index(new)
+        if form.data not in forms and are_rooted_isomorphic(
+            RootedGraph(child, new), RootedGraph(child, last)
+        ):
+            forms.add(form.data)
+            kept.append(child)
+    return kept
+
+
+def test_children_match_the_uncut_reference():
+    # the degree and last-cell cuts, the orbit skip and the disconnected-child
+    # cut change only what is labeled, never what is yielded, at every node
+    # up to order 8
     level = [(Graph.from_edge_list(1, []), ())]
     for _ in range(7):
         nxt = []
         for g, autos in level:
-            plain = [child for child, _ in _children(g, (), False)]
+            want = reference_children(g)
             found = list(_children(g, autos, False))
-            assert [child for child, _ in found] == plain
+            assert [child for child, _ in found] == want
             connected = [child for child, _ in _children(g, autos, True)]
-            assert connected == [child for child in plain if is_connected(child)]
+            assert connected == [child for child in want if is_connected(child)]
             nxt += found
         level = nxt
     assert len(level) == 410
@@ -219,21 +244,30 @@ def test_children_ignore_which_automorphisms_they_are_given():
 
 def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
     # every vertex that the stored automorphisms put in the new vertex's
-    # orbit is one that rooted canonical forms put there too
-    accept = enumeration._accept
-    shortcuts = 0
+    # orbit is one that rooted canonical forms put there too, and the
+    # decision is theirs, rejects included
+    label, accept = enumeration.canonical_labeling, enumeration._accept
+    labeled = []
+    shortcuts = rejects = 0
 
-    def checked(child, new, last, autos):
-        nonlocal shortcuts
+    def labeling(child):
+        labeled.append(child)
+        return label(child)
+
+    def checked(new, last, autos):
+        nonlocal shortcuts, rejects
+        child = labeled[-1]
         rooted = lambda w: are_rooted_isomorphic(RootedGraph(child, new), RootedGraph(child, w))
         orbit = [mask.bit_length() - 1 for mask in _orbit(1 << new, autos)]
         assert all(rooted(w) for w in orbit)
         shortcuts += last != new and last in orbit
-        answer = accept(child, new, last, autos)
+        answer = accept(new, last, autos)
         assert answer == rooted(last)
+        rejects += not answer
         return answer
 
+    monkeypatch.setattr(enumeration, "canonical_labeling", labeling)
     monkeypatch.setattr(enumeration, "_accept", checked)
-    for n in range(1, 9):
+    for n in range(1, 10):
         sum(1 for _ in enumerate_connected_triangle_free(n))
-    assert shortcuts > 0
+    assert shortcuts > 0 and rejects > 0

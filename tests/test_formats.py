@@ -16,6 +16,7 @@ from indtree import (
     to_edge_list_text,
     to_graph6,
 )
+from indtree.formats import MAX_EDGE_LIST_N
 
 
 def random_graph(rng, n, p):
@@ -184,6 +185,15 @@ HUGE_HEADERS = ("9223372036854775808 0\n", "1000000000000000000 0\n")
 def test_edge_list_header_too_large_to_allocate(text):
     with pytest.raises(GraphError):
         from_edge_list_text(text)
+
+
+def test_edge_list_order_limit():
+    g = from_edge_list_text(f"{MAX_EDGE_LIST_N} 1\n0 {MAX_EDGE_LIST_N - 1}\n")
+    assert MAX_EDGE_LIST_N == 65536 and g.n == 65536 and g.edges() == [(0, 65535)]
+    with pytest.raises(GraphError, match="limit"):
+        from_edge_list_text(f"{MAX_EDGE_LIST_N + 1} 0\n")
+    with pytest.raises(GraphError, match="limit"):
+        from_edge_list_text("1000000000 0\n")  # about 16 GB of rows if built
 
 
 # raw bytes, and bytes from graph6's alphabet with line breaks, which reach
