@@ -1,21 +1,24 @@
 """Canon calls and wall time of one enumeration walk, before and after a change.
 
-    python scripts/bench_orbit_pruning.py --base REV [--out BENCH_orbit_pruning.json]
+    python scripts/bench_enumeration.py --base REV --out BENCH_<label>.json
 
 Measures two source trees: ``src/`` of git revision REV, extracted with
 ``git archive`` into a temporary directory, and ``src/`` of this checkout.
 For each tree and each order n = 7..10 a fresh interpreter walks
-``enumerate_connected_triangle_free(n)`` once with the canon functions that
-``indtree.enumeration`` calls (``canonical_labeling``, ``last_cell``,
-``are_rooted_isomorphic``) wrapped in call counters, then REPEATS more times
-unwrapped for the wall time. A function that a tree's enumeration does not
-import is counted as 0 calls. The counts are exact and machine-independent;
-the wall times are recorded with the host that produced them.
+``enumerate_connected_triangle_free(n)`` once with call counters wrapped
+around the canon functions that ``indtree.enumeration`` calls
+(``canonical_labeling``, ``last_cell``, ``are_rooted_isomorphic``) and
+around ``canon._refine``, through which every labeling and every
+``last_cell`` does its work. It then walks REPEATS more times unwrapped for
+the wall time. A function that a tree does not have is counted as 0 calls.
+The counts are exact and machine-independent; the wall times are recorded
+with the host that produced them.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -31,33 +34,40 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ORDERS = (7, 8, 9, 10)
 REPEATS = 3
-COUNTED = ("canonical_labeling", "last_cell", "are_rooted_isomorphic")
+# (module, function) pairs; each is wrapped where it is looked up at call time
+COUNTED = (
+    ("enumeration", "canonical_labeling"),
+    ("enumeration", "last_cell"),
+    ("enumeration", "are_rooted_isomorphic"),
+    ("canon", "_refine"),
+)
 
 
 def measure(n: int) -> dict:
     """Counted walk, then REPEATS timed walks, of order n in this interpreter."""
     from indtree import enumeration
 
-    calls = dict.fromkeys(COUNTED, 0)
+    calls = {name: 0 for _, name in COUNTED}
 
-    def counting(name):
-        fn = getattr(enumeration, name)
-
+    def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
-    present = [name for name in COUNTED if hasattr(enumeration, name)]
-    originals = {name: getattr(enumeration, name) for name in present}
-    for name in originals:
-        setattr(enumeration, name, counting(name))
+    originals = []
+    for module_name, name in COUNTED:
+        module = importlib.import_module(f"indtree.{module_name}")
+        if hasattr(module, name):
+            originals.append((module, name, getattr(module, name)))
+    for module, name, fn in originals:
+        setattr(module, name, counting(name, fn))
     try:
         classes = sum(1 for _ in enumeration.enumerate_connected_triangle_free(n))
     finally:
-        for name, fn in originals.items():
-            setattr(enumeration, name, fn)
+        for module, name, fn in originals:
+            setattr(module, name, fn)
     seconds = []
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -103,14 +113,14 @@ def host() -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", help="git revision to compare against")
-    ap.add_argument("--out", default=str(ROOT / "BENCH_orbit_pruning.json"))
+    ap.add_argument("--out", help="JSON file to write (required)")
     ap.add_argument("--measure", type=int, help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.measure is not None:
         print(json.dumps(measure(args.measure)))
         return
-    if args.base is None:
-        ap.error("--base is required")
+    if args.base is None or args.out is None:
+        ap.error("--base and --out are required")
     rev = subprocess.run(
         ["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
         check=True, capture_output=True, text=True,
@@ -125,7 +135,7 @@ def main() -> None:
     after = run_tree(ROOT / "src")
     report = {
         "what": "one enumerate_connected_triangle_free(n) walk per order: canon calls made "
-        "from indtree.enumeration (exact), classes emitted, wall seconds",
+        "from indtree.enumeration and canon._refine calls (exact), classes emitted, wall seconds",
         "host": host(),
         "repeats": REPEATS,
         "before": {"rev": rev, "orders": before},

@@ -12,6 +12,10 @@ encoding prune sibling branches, and each tie returns the search to the two
 leaves' common ancestor, as in nauty. This keeps highly symmetric inputs
 (empty graphs, complete bipartite blowups) from exploding, and never changes
 the labeling, since a skipped branch is the image of an explored one.
+
+Cells keep their order through every split, and the first split orders them
+by degree, so an uncolored graph's last canonical vertex has the largest
+degree. Enumeration relies on this to drop candidates before labeling them.
 """
 
 from __future__ import annotations
@@ -27,16 +31,13 @@ class CanonicalForm:
     """Isomorphism-class certificate: equal ``data`` iff isomorphic.
 
     ``data`` embeds the vertex count and the color multiset, so forms of
-    different sizes or colorings never collide. ``colors`` records the input
-    assignment and does not participate in equality. ``automorphisms`` holds
+    different sizes or colorings never collide. ``automorphisms`` holds
     non-identity automorphisms of the input that the labeling search met
     (``phi[v]`` is the image of ``v``); they generate the whole
     color-preserving automorphism group and do not participate in equality.
     """
 
     data: bytes
-    n: int
-    colors: tuple[int, ...] | None = field(default=None, compare=False)
     automorphisms: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
 
@@ -53,6 +54,10 @@ def canonical_labeling(
 
     The labeling maps each original vertex to its canonical position; any
     relabeled copy of ``g`` yields the same form and an equivalent labeling.
+    Without ``colors``, the vertex put in the final position, n - 1, has the
+    largest degree in ``g``: the first refinement orders the cells by
+    degree, smallest first, and every later split, by refinement or by
+    individualization, replaces a cell by its pieces in place.
     """
     n = g.n
     color_tuple: tuple[int, ...] | None = None
@@ -61,7 +66,7 @@ def canonical_labeling(
         if len(color_tuple) != n:
             raise GraphError(f"expected {n} colors, got {len(color_tuple)}")
     if n == 0:
-        return CanonicalForm(_pack(0, color_tuple, 0), 0, color_tuple), ()
+        return CanonicalForm(_pack(0, color_tuple, 0)), ()
 
     if color_tuple is None:
         cells = [(1 << n) - 1]
@@ -70,7 +75,7 @@ def canonical_labeling(
             _mask_where(color_tuple, c) for c in sorted(set(color_tuple))
         ]
     code, perm, autos = _search(g.adj, n, cells)
-    return CanonicalForm(_pack(n, color_tuple, code), n, color_tuple, autos), perm
+    return CanonicalForm(_pack(n, color_tuple, code), autos), perm
 
 
 def are_rooted_isomorphic(a: RootedGraph, b: RootedGraph) -> bool:
@@ -116,7 +121,8 @@ def _refine(
 ) -> list[int]:
     """Equitable refinement: split cells by degree into every cell, smallest
     degree first, until stable. Deterministic in the cell order, so the
-    result is isomorphism-invariant.
+    result is isomorphism-invariant. Each cell is replaced by its pieces in
+    place, so the order of the input cells is kept.
 
     Each split is made at the first unstable (splitter w, cell c) pair in
     scan order, w-major. Splitting only refines, and a piece of a cell that
@@ -189,21 +195,6 @@ def _refine(
         else:
             wi, ci = wi + 1, 0
     return cells
-
-
-def last_cell(g: Graph) -> int:
-    """Last cell, as a bitmask, of the equitable refinement of g's unit partition.
-
-    ``canonical_labeling`` refines this partition first and then only
-    individualizes and refines further; each split replaces a cell by its
-    pieces in place and keeps the order of the cells. So the vertex that the
-    labeling puts in the final position, n - 1, always lies in this cell.
-    The cell is isomorphism-invariant and hence a union of Aut(g) orbits: a
-    vertex outside it is in no orbit of the final vertex. The first split
-    orders the cells by degree, smallest first, so the cell holds only
-    vertices of largest degree.
-    """
-    return _refine(g.adj, [(1 << g.n) - 1])[-1]
 
 
 def _search(

@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterator
 
-from .canon import canonical_labeling, last_cell
+from .canon import canonical_labeling
 from .formats import to_graph6
 from .graph import Graph, GraphError, RootedGraph, _component_of, bits
 from .solver import max_induced_tree_through
@@ -106,18 +106,19 @@ def _children(
     the automorphisms canon stored for it.
 
     ``autos`` generate the automorphism group of g; K1's ``()`` does. A
-    candidate set is dropped before any canonical labeling when
-    - the new vertex lies outside the child's ``last_cell``: it is then in
-      no orbit of the last canonical vertex, so ``_accept`` would reject
-      it. The cell holds only vertices of largest degree, which the first
-      test decides from g alone;
+    candidate set is dropped before it is built when
+    - some old vertex of the child has a larger degree than the new one:
+      canon puts a vertex of largest degree last, so the new vertex is in
+      no orbit of the last canonical vertex and ``_accept`` would reject it;
     - ``connected`` is set and the set misses a component of g, so the
       child is disconnected;
     - the group generated by ``autos`` maps an earlier tried set onto it.
       The two children are isomorphic by a map that fixes the new vertex,
-      so they share their form, ``last_cell`` answer and accept decision,
-      and the earlier one has decided both. Accepted children from two
-      orbits are never isomorphic (McKay's lemma), so no seen-set is needed.
+      so they share their form and accept decision, and the earlier one
+      has decided both. Accepted children from two orbits are never
+      isomorphic (McKay's lemma), so no seen-set is needed.
+
+    Every other candidate is built and labeled once.
     """
     m = g.n
     new = m
@@ -135,8 +136,6 @@ def _children(
             continue  # an automorphic image of a tried set
         tried |= _orbit(s, autos)
         child = Graph(m + 1, tuple(a | (s >> v & 1) << new for v, a in enumerate(g.adj)) + (s,))
-        if not last_cell(child) >> new & 1:
-            continue
         form, perm = canonical_labeling(child)
         last = perm.index(m)  # vertex in the final canonical position
         if _accept(new, last, form.automorphisms):

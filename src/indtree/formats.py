@@ -114,29 +114,21 @@ def from_graph6(data: bytes | str) -> Graph:
         raise Graph6ParseError("truncated graph6 string", len(data))
 
     rows = [0] * n
-    bit = 0
-    for k, group in enumerate(groups):
-        for t in range(5, -1, -1):
-            val = group >> t & 1
-            if bit >= nbits:
-                if val:
-                    raise Graph6ParseError("nonzero padding bit", body + k)
-                continue
-            if val:
-                i, j = _triangle_position(bit)
+    group = 0
+    left = 0  # bits of group not yet read
+    it = iter(groups)
+    for j in range(1, n):
+        for i in range(j):
+            if not left:
+                group = next(it)
+                left = 6
+            left -= 1
+            if group >> left & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-            bit += 1
+    if group & ((1 << left) - 1):
+        raise Graph6ParseError("nonzero padding bit", body + ngroups - 1)
     return Graph(n, rows)
-
-
-def _triangle_position(bit: int) -> tuple[int, int]:
-    """Map a column-order upper-triangle bit index to its (i, j) pair, i < j."""
-    j = 1
-    while bit >= j:
-        bit -= j
-        j += 1
-    return bit, j
 
 
 def read_graph6_lines(text: bytes | str) -> list[Graph]:

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import networkx as nx
@@ -18,10 +19,7 @@ from indtree import (
 )
 from indtree.formats import MAX_EDGE_LIST_N
 
-
-def random_graph(rng, n, p):
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph.from_edge_list(n, edges)
+from helpers import random_graph, to_nx
 
 
 def test_known_encodings():
@@ -36,10 +34,7 @@ def test_matches_networkx_encoder():
     for _ in range(300):
         n = rng.randrange(0, 31)
         g = random_graph(rng, n, 0.3)
-        G = nx.Graph()
-        G.add_nodes_from(range(n))
-        G.add_edges_from(g.edges())
-        assert to_graph6(g) == nx.to_graph6_bytes(G, header=False).strip()
+        assert to_graph6(g) == nx.to_graph6_bytes(to_nx(g), header=False).strip()
 
 
 def test_roundtrip_medium_header():
@@ -49,10 +44,7 @@ def test_roundtrip_medium_header():
     data = to_graph6(g)
     assert data[0:1] == b"~"
     assert from_graph6(data) == g
-    G = nx.Graph()
-    G.add_nodes_from(range(63))
-    G.add_edges_from(g.edges())
-    assert data == nx.to_graph6_bytes(G, header=False).strip()
+    assert data == nx.to_graph6_bytes(to_nx(g), header=False).strip()
 
 
 def test_accepts_str_and_optional_prefix():
@@ -79,8 +71,9 @@ def test_rejects_garbage():
         from_graph6(b"B")  # truncated body
     with pytest.raises(Graph6ParseError):
         from_graph6(b"BgX")  # trailing garbage
-    with pytest.raises(Graph6ParseError):
+    with pytest.raises(Graph6ParseError, match="padding") as exc:
         from_graph6(b"A@")  # nonzero padding bits
+    assert exc.value.offset == 1  # the last group, which holds the padding
     with pytest.raises(Graph6ParseError):
         from_graph6(b"~")  # bare medium header
 
@@ -123,6 +116,17 @@ def test_roundtrip_beyond_64_vertices():
     rng = random.Random(31)
     g = random_graph(rng, 100, 0.05)
     assert from_graph6(to_graph6(g)) == g
+
+
+def test_dense_thousand_vertex_roundtrip_is_fast():
+    # 249,540 edges; decoding is linear in the body, not O(n) per edge bit
+    g = random_graph(random.Random(1), 1000, 0.5)
+    data = to_graph6(g)
+    start = time.perf_counter()
+    h = from_graph6(data)
+    elapsed = time.perf_counter() - start
+    assert h == g and g.edge_count == 249540
+    assert elapsed < 4
 
 
 def test_roundtrip_random():

@@ -18,17 +18,7 @@ from indtree import (
 )
 from indtree.graph import bits, mask_of, vertex_list
 
-
-def to_nx(g):
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edges())
-    return G
-
-
-def random_graph(rng, n, p):
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph.from_edge_list(n, edges)
+from helpers import random_graph, to_nx
 
 
 def test_bitmask_helpers():

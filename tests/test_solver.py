@@ -20,10 +20,7 @@ from indtree import (
     max_induced_tree_through,
 )
 
-
-def random_graph(rng, n, p):
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
-    return Graph.from_edge_list(n, edges)
+from helpers import random_graph
 
 
 def c_n(n):
