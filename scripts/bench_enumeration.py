@@ -1,4 +1,4 @@
-"""Canon calls and wall time of one enumeration walk, before and after a change.
+"""Canon work and wall time of one enumeration walk, before and after a change.
 
     python scripts/bench_enumeration.py --base REV --out BENCH_<label>.json
 
@@ -7,10 +7,11 @@ Measures two source trees: ``src/`` of git revision REV, extracted with
 For each tree and each order n = 7..10 a fresh interpreter walks
 ``enumerate_connected_triangle_free(n)`` once with call counters wrapped
 around the canon functions that ``indtree.enumeration`` calls
-(``canonical_labeling``, ``last_cell``, ``are_rooted_isomorphic``) and
-around ``canon._refine``, through which every labeling and every
-``last_cell`` does its work. It then walks REPEATS more times unwrapped for
-the wall time. A function that a tree does not have is counted as 0 calls.
+(``equitable_partition``, ``canonical_labeling``), around ``canon._search``,
+the individualization search that every labeling runs, and around
+``canon._refine``, through which both do their work. It then walks REPEATS
+more times unwrapped for the wall time. A function that a tree does not
+have is counted as 0 calls.
 The counts are exact and machine-independent; the wall times are recorded
 with the host that produced them.
 """
@@ -36,9 +37,9 @@ ORDERS = (7, 8, 9, 10)
 REPEATS = 3
 # (module, function) pairs; each is wrapped where it is looked up at call time
 COUNTED = (
+    ("enumeration", "equitable_partition"),
     ("enumeration", "canonical_labeling"),
-    ("enumeration", "last_cell"),
-    ("enumeration", "are_rooted_isomorphic"),
+    ("canon", "_search"),
     ("canon", "_refine"),
 )
 
@@ -135,7 +136,8 @@ def main() -> None:
     after = run_tree(ROOT / "src")
     report = {
         "what": "one enumerate_connected_triangle_free(n) walk per order: canon calls made "
-        "from indtree.enumeration and canon._refine calls (exact), classes emitted, wall seconds",
+        "from indtree.enumeration, canon._search and canon._refine calls (exact), classes "
+        "emitted, wall seconds",
         "host": host(),
         "repeats": REPEATS,
         "before": {"rev": rev, "orders": before},

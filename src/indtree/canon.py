@@ -15,7 +15,11 @@ the labeling, since a skipped branch is the image of an explored one.
 
 Cells keep their order through every split, and the first split orders them
 by degree, so an uncolored graph's last canonical vertex has the largest
-degree. Enumeration relies on this to drop candidates before labeling them.
+degree and lies in the last cell of ``equitable_partition``, the refinement
+the search starts below. Each cell is a union of automorphism orbits, and
+coloring the vertices by their cells' indices gives the same labeling and
+the same stored automorphisms. Enumeration relies on these facts to decide
+most candidates without a search, and to search the rest from their cells.
 """
 
 from __future__ import annotations
@@ -47,6 +51,21 @@ def canonical_form(g: Graph, colors: Sequence[int] | None = None) -> CanonicalFo
     return form
 
 
+def equitable_partition(g: Graph) -> list[int]:
+    """Ordered cells, as vertex masks, of the equitable refinement of g's
+    unit partition: the partition that ``canonical_labeling(g)`` refines
+    first and searches below.
+
+    The last cell holds the vertex that the labeling puts last, and each
+    cell is a union of automorphism orbits. Coloring each vertex by the
+    index of its cell leaves the labeling and the stored automorphisms as
+    they are without colors, and the search then starts from these cells.
+    """
+    if g.n == 0:
+        return []
+    return _refine(g.adj, [(1 << g.n) - 1])
+
+
 def canonical_labeling(
     g: Graph, colors: Sequence[int] | None = None
 ) -> tuple[CanonicalForm, tuple[int, ...]]:
@@ -55,9 +74,13 @@ def canonical_labeling(
     The labeling maps each original vertex to its canonical position; any
     relabeled copy of ``g`` yields the same form and an equivalent labeling.
     Without ``colors``, the vertex put in the final position, n - 1, has the
-    largest degree in ``g``: the first refinement orders the cells by
+    largest degree in ``g`` and lies in the last cell of
+    ``equitable_partition(g)``: the first refinement orders the cells by
     degree, smallest first, and every later split, by refinement or by
-    individualization, replaces a cell by its pieces in place.
+    individualization, replaces a cell by its pieces in place. Colors that
+    give each vertex the index of its cell in that partition leave the
+    labeling and the automorphisms unchanged, since the search then starts
+    from the partition it would have refined to.
     """
     n = g.n
     color_tuple: tuple[int, ...] | None = None
@@ -215,6 +238,13 @@ def _search(
     b_(i+1); if not, it is in the stored maps' orbit of an entered one. So
     the stored maps have Aut's orbits along that stabiliser chain, and
     generate Aut.
+
+    Each node gets from its parent the stored maps that fix its base, and
+    filters only the maps stored since against that base. It keeps the
+    union of its explored children's orbits, adds a child's orbit only
+    before the next sibling is tested, and recomputes the union only when
+    its list of maps grows, so a child is skipped exactly when some map
+    fixing the base takes it to an explored one.
     """
     best_code = -1  # no leaf yet; every encoding is >= 0
     best_perm: list[int] = []
@@ -250,8 +280,14 @@ def _search(
             return next(i for i, (a, b) in enumerate(zip(base, best_base)) if a != b)
         return len(base)
 
-    def descend(cells: list[int], base: tuple[int, ...], stable: frozenset[int]) -> int:
-        """Search below the node ``base``; return the depth to resume at."""
+    def descend(
+        cells: list[int],
+        base: tuple[int, ...],
+        stable: frozenset[int],
+        gens: list[tuple[int, ...]],
+    ) -> int:
+        """Search below the node ``base``; ``gens`` are the stored
+        automorphisms that fix ``base``. Return the depth to resume at."""
         cells = _refine(adj, cells, stable)
         target = -1
         for ci, c in enumerate(cells):
@@ -263,31 +299,41 @@ def _search(
         cell = cells[target]
         equitable = frozenset(cells)  # no cell splits a refinement of cells
         explored = 0
-        gens: list[tuple[int, ...]] = []  # stored automorphisms fixing the base
-        checked = 0
+        closed = 0  # the explored children's orbits under gens, once updated
+        checked = len(autos)  # gens holds every map stored before this one
         for v in bits(cell):
             # skip v if an automorphism fixing the base maps it into an
             # already-explored sibling's orbit
-            gens += [a for a in autos[checked:] if all(a[b] == b for b in base)]
+            fresh = [a for a in autos[checked:] if all(a[b] == b for b in base)]
             checked = len(autos)
-            orbit = 1 << v
-            if gens:
-                stack = [v]
-                while stack:
-                    u = stack.pop()
-                    for a in gens:
-                        w = a[u]
-                        if not orbit >> w & 1:
-                            orbit |= 1 << w
-                            stack.append(w)
-            if orbit & explored:
+            if fresh:
+                gens = gens + fresh
+                closed = 0
+            if explored & ~closed:
+                closed |= _closure(explored & ~closed, gens)
+            if closed >> v & 1:
                 continue
             explored |= 1 << v
             child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1 :]
-            resume = descend(child, base + (v,), equitable)
+            resume = descend(child, base + (v,), equitable, [a for a in gens if a[v] == v])
             if resume < len(base):
                 return resume
         return len(base)
 
-    descend(list(init_cells), (), frozenset())
+    descend(list(init_cells), (), frozenset(), [])
     return best_code, tuple(best_perm), tuple(autos)
+
+
+def _closure(seed: int, gens: list[tuple[int, ...]]) -> int:
+    """Union of the orbits of the vertices in ``seed`` under the group that
+    ``gens`` generate."""
+    closed = seed
+    stack = list(bits(seed))
+    while stack:
+        u = stack.pop()
+        for a in gens:
+            w = a[u]
+            if not closed >> w & 1:
+                closed |= 1 << w
+                stack.append(w)
+    return closed

@@ -8,7 +8,7 @@ Graphs are read as graph6 lines or as edge-list text ("n m" header then one
 subcommands pipe into each other.
 The library walks any order in 1..MAX_N (12); the budget is this module's:
 enumerate, tabulate and verify stop at order DEFAULT_MAX_N (11) unless given
---override-budget, since n = 12 runs far longer than the 37 s of n = 11.
+--override-budget, since n = 12 runs far longer than the 17 s of n = 11.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from indtree import (
     canonical_form,
     canonical_labeling,
 )
-from indtree.canon import _refine
+from indtree.canon import _refine, equitable_partition
 from indtree.graph import bits
 
 from helpers import random_graph, to_nx
@@ -318,6 +318,31 @@ def test_last_canonical_vertex_has_largest_degree():
         for h in (g, relabel(g, p)):
             _, perm = canonical_labeling(h)
             assert h.degree(perm.index(n - 1)) == top
+
+
+def test_coloring_by_the_equitable_partition_keeps_the_labeling():
+    # enumeration decides a candidate from its equitable partition and, when
+    # that cannot decide, labels it with the cells as colors: the last cell
+    # must hold the last canonical vertex and be a union of orbits, and the
+    # colors must leave the labeling and the stored automorphisms unchanged
+    assert equitable_partition(Graph.from_edge_list(0, [])) == []
+    rng = random.Random(13)
+    for _ in range(1000):
+        n = rng.randint(1, 11)
+        g = random_graph(rng, n, rng.random())
+        cells = equitable_partition(g)
+        assert sum(cells) == (1 << n) - 1 and sum(c.bit_count() for c in cells) == n
+        colors = [0] * n
+        for i, c in enumerate(cells):
+            for v in bits(c):
+                colors[v] = i
+        form, perm = canonical_labeling(g)
+        colored, colored_perm = canonical_labeling(g, colors)
+        assert colored_perm == perm
+        assert colored.automorphisms == form.automorphisms
+        assert cells[-1] >> perm.index(n - 1) & 1
+        for a in form.automorphisms:
+            assert all(sum(1 << a[v] for v in bits(c)) == c for c in cells)
 
 
 def test_labelings_are_pinned():

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -111,7 +112,7 @@ def test_budget_enforced():
 @pytest.mark.slow
 def test_class_count_n11():
     # OEIS A024607, and the emission digest as for n = 8..10 below; the walk
-    # takes 37 s, so it runs only under ``-m slow``
+    # takes about 20 s, so it runs only under ``-m slow``
     text = [to_graph6(g) for g in enumerate_connected_triangle_free(11)]
     assert len(text) == 90842
     assert hashlib.sha256(b"\n".join(text)).hexdigest() == (
@@ -243,31 +244,67 @@ def test_children_match_the_uncut_reference():
 
 
 def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
-    # every vertex that the stored automorphisms put in the new vertex's
-    # orbit is one that rooted canonical forms put there too, and the
-    # decision is theirs, rejects included
-    label, accept = enumeration.canonical_labeling, enumeration._accept
-    labeled = []
-    shortcuts = rejects = 0
+    # every candidate that reaches the equitable partition is accepted
+    # exactly when an isomorphism maps the new vertex to the one an uncolored
+    # labeling puts last; the partition and the search each accept and
+    # reject, and every vertex the stored automorphisms put in the new
+    # vertex's orbit is one that rooted canonical forms put there too
+    partition, label, children = (
+        enumeration.equitable_partition,
+        enumeration.canonical_labeling,
+        enumeration._children,
+    )
+    candidates, orbits, accepted = [], {}, set()
 
-    def labeling(child):
-        labeled.append(child)
-        return label(child)
+    def partitioning(child):
+        candidates.append(child)  # keeps every child alive, so ids stay distinct
+        return partition(child)
 
-    def checked(new, last, autos):
-        nonlocal shortcuts, rejects
-        child = labeled[-1]
-        rooted = lambda w: are_rooted_isomorphic(RootedGraph(child, new), RootedGraph(child, w))
-        orbit = [mask.bit_length() - 1 for mask in _orbit(1 << new, autos)]
-        assert all(rooted(w) for w in orbit)
-        shortcuts += last != new and last in orbit
-        answer = accept(new, last, autos)
-        assert answer == rooted(last)
-        rejects += not answer
-        return answer
+    def labeling(child, colors):
+        form, perm = label(child, colors)
+        orbit = _orbit(1 << (child.n - 1), form.automorphisms)
+        orbits[id(child)] = [mask.bit_length() - 1 for mask in orbit]
+        return form, perm
 
+    def accepting(g, autos, leaves):
+        for child, child_autos in children(g, autos, leaves):
+            accepted.add(id(child))
+            yield child, child_autos
+
+    monkeypatch.setattr(enumeration, "equitable_partition", partitioning)
     monkeypatch.setattr(enumeration, "canonical_labeling", labeling)
-    monkeypatch.setattr(enumeration, "_accept", checked)
+    monkeypatch.setattr(enumeration, "_children", accepting)
     for n in range(1, 10):
         sum(1 for _ in enumerate_connected_triangle_free(n))
-    assert shortcuts > 0 and rejects > 0
+    kinds = collections.Counter()
+    for child in candidates:
+        new = child.n - 1
+        rooted = lambda w: are_rooted_isomorphic(RootedGraph(child, new), RootedGraph(child, w))
+        answer = id(child) in accepted
+        assert answer == rooted(label(child)[1].index(new))
+        searched = id(child) in orbits
+        if searched:
+            assert all(rooted(w) for w in orbits[id(child)])
+        kinds[searched, answer] += 1
+    assert len(kinds) == 4, kinds
+
+
+@pytest.mark.parametrize("n, partitions, labelings", [(7, 147, 86), (8, 578, 261)])
+def test_work_per_walk_is_pinned(monkeypatch, n, partitions, labelings):
+    # candidates that reach the equitable partition, and those of them that
+    # only canon's search can decide
+    calls = collections.Counter()
+
+    def counted(name):
+        fn = getattr(enumeration, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("equitable_partition", "canonical_labeling"):
+        monkeypatch.setattr(enumeration, name, counted(name))
+    sum(1 for _ in enumerate_connected_triangle_free(n))
+    assert calls == {"equitable_partition": partitions, "canonical_labeling": labelings}
