@@ -22,17 +22,14 @@ import argparse
 import importlib
 import json
 import os
-import platform
 import statistics
 import subprocess
 import sys
-import tarfile
-import tempfile
 import time
-from io import BytesIO
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from bench_common import ROOT, host, revision_src
+
 ORDERS = (7, 8, 9, 10)
 REPEATS = 3
 # (module, function) pairs; each is wrapped where it is looked up at call time
@@ -96,21 +93,6 @@ def run_tree(src: Path) -> list[dict]:
     return rows
 
 
-def host() -> dict:
-    cpu = platform.processor()
-    try:
-        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
-            cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), cpu)
-    except OSError:
-        pass
-    return {
-        "cpu": cpu,
-        "cpus": os.cpu_count(),
-        "platform": platform.platform(),
-        "python": f"{platform.python_implementation()} {platform.python_version()}",
-    }
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", help="git revision to compare against")
@@ -122,17 +104,8 @@ def main() -> None:
         return
     if args.base is None or args.out is None:
         ap.error("--base and --out are required")
-    rev = subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", "--short", args.base],
-        check=True, capture_output=True, text=True,
-    ).stdout.strip()
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", rev, "src"], check=True, capture_output=True
-    ).stdout
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=BytesIO(archive)) as tar:
-            tar.extractall(tmp)
-        before = run_tree(Path(tmp) / "src")
+    with revision_src(args.base) as (rev, src):
+        before = run_tree(src)
     after = run_tree(ROOT / "src")
     report = {
         "what": "one enumerate_connected_triangle_free(n) walk per order: canon calls made "

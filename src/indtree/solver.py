@@ -46,30 +46,41 @@ def _search(
     ``stop_at`` the search ends at the first tree of that size, and only
     trees of that size or larger are searched for.
 
-    Depth-first over nodes (chosen, forbidden, near) on an explicit stack, so
-    the depth is not bounded by Python's recursion limit. ``chosen`` is a
-    connected acyclic set holding the root; ``near`` is the union of the
+    Depth-first over nodes (chosen, undecided, near, size), so the depth is
+    not bounded by Python's recursion limit. ``chosen`` is a connected
+    acyclic set of ``size`` vertices holding the root; ``undecided`` holds
+    the vertices neither chosen nor ruled out; ``near`` is the union of the
     chosen vertices' neighbourhoods. Every undecided vertex has at most one
-    chosen neighbour: adding ``pick`` forbids ``adj[pick] & near``, the
+    chosen neighbour: adding ``pick`` rules out ``adj[pick] & near``, the
     vertices it would give a second one, as they would close a cycle. The
     frontier is then ``near & undecided``. A node branches on the frontier
-    vertex with the most undecided neighbours (the lowest index on ties),
-    including it first.
+    vertex with the most undecided neighbours (the lowest index on ties).
+    It descends into the include child in place and pushes only the exclude
+    child on an explicit stack, which is popped when a node is pruned, so
+    nodes are visited in depth-first order, include child first.
+
+    Every node either branches in two or is pruned, so an exhaustive search
+    has ``nodes == 2 * prunings - 1``. An exclude child that already fails
+    the bound when it would be pushed is counted as a node and a pruning
+    there and never pushed: the bar only rises, so it would fail when
+    popped too. Under ``stop_at`` the counters may therefore include such
+    children that the search would not have reached before stopping;
+    ``exists_induced_tree_through`` discards them.
     """
     adj = g.adj
-    full = g.full_mask
     best_size = 0
     best_set = 0
     nodes = 0
     prunings = 0
     # max(best_size, stop_at - 1): a node is searched only if its bound passes bar
     bar = 0 if stop_at is None else stop_at - 1
-    stack = [(1 << root, forbidden, adj[root])]
-    while stack:
-        chosen, forbidden, near = stack.pop()
+    stack = []
+    chosen = 1 << root
+    undecided = g.full_mask & ~chosen & ~forbidden
+    near = adj[root]
+    size = 1
+    while True:
         nodes += 1
-        undecided = full & ~chosen & ~forbidden
-        size = chosen.bit_count()
         if size > best_size:
             best_size = size
             best_set = chosen
@@ -80,41 +91,56 @@ def _search(
         # upper bound: only undecided vertices reachable from chosen through
         # undecided territory can ever join this tree; the walk is skipped
         # when all undecided vertices together cannot pass bar, and stops
-        # once it has found more than bar
-        if size + undecided.bit_count() <= bar:
-            prunings += 1
-            continue
-        front = near & undecided
-        reach = chosen | front
-        ub = size + front.bit_count()
-        frontier = front
-        while frontier and ub <= bar:
+        # once it has found more than bar. Its first step is taken in the
+        # same pass over the frontier that picks the branch vertex
+        left = undecided.bit_count()
+        if size + left > bar:
+            front = near & undecided
+            pick_deg = -1
             grow = 0
-            while frontier:
-                low = frontier & -frontier
-                grow |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grow & undecided & ~reach
-            reach |= frontier
-            ub += frontier.bit_count()
-        if ub <= bar:
-            prunings += 1
-            continue
-        pick = -1
-        pick_deg = -1
-        rest = front
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            d = (adj[v] & undecided).bit_count()
-            if d > pick_deg:
-                pick_deg = d
-                pick = v
-            rest ^= low
-        bit = 1 << pick
-        nbrs = adj[pick]
-        stack.append((chosen, forbidden | bit, near))
-        stack.append((chosen | bit, forbidden | nbrs & near & undecided, near | nbrs))
+            rest = front
+            while rest:
+                low = rest & -rest
+                nbrs = adj[low.bit_length() - 1]
+                grow |= nbrs
+                d = (nbrs & undecided).bit_count()
+                if d > pick_deg:
+                    pick_deg = d
+                    pick = low
+                    pick_nbrs = nbrs
+                rest ^= low
+            ub = size + front.bit_count()
+            if ub <= bar:
+                outside = undecided & ~front
+                frontier = grow & outside
+                while frontier:
+                    ub += frontier.bit_count()
+                    if ub > bar:
+                        break
+                    outside ^= frontier
+                    grow = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        grow |= adj[low.bit_length() - 1]
+                        frontier ^= low
+                    frontier = grow & outside
+            if ub > bar:
+                # the exclude child has one undecided vertex fewer; if that
+                # already fails the bound it is counted and not pushed
+                if size + left - 1 > bar:
+                    stack.append((chosen, undecided ^ pick, near, size))
+                else:
+                    nodes += 1
+                    prunings += 1
+                chosen |= pick
+                undecided &= ~(pick | pick_nbrs & near)
+                near |= pick_nbrs
+                size += 1
+                continue
+        prunings += 1
+        if not stack:
+            break
+        chosen, undecided, near, size = stack.pop()
     return best_size, best_set, SearchStats(nodes, prunings)
 
 

@@ -19,6 +19,7 @@ from indtree import (
     max_induced_tree,
     max_induced_tree_through,
 )
+from indtree.solver import _search
 
 from helpers import random_graph
 
@@ -190,6 +191,31 @@ def test_long_path_rooted_in_the_middle():
     assert max_induced_tree_through(RootedGraph(path(5000), 2500)).size == 5000
 
 
+def test_long_cycle_rooted():
+    # the reach bound prunes a cycle at once; ladders, by contrast, take
+    # exponentially many nodes (see README)
+    assert max_induced_tree_through(RootedGraph(c_n(2000), 0)).size == 1999
+
+
+def test_every_exhaustive_search_counts_two_children_per_branch():
+    # every node either branches in two or is pruned, so a search that runs
+    # to the end has nodes == 2 * prunings - 1, exclude children counted
+    # where they fail the bound before being pushed included
+    rng = random.Random(15)
+    checked = 0
+    for _ in range(150):
+        n = rng.randint(1, 14)
+        g = random_graph(rng, n, rng.random() * 0.6)
+        for v in range(n):
+            size, _, rooted = _search(g, v)
+            per_root = _search(g, v, (1 << v) - 1)[2]  # as max_induced_tree runs it
+            refuted = _search(g, v, stop_at=size + 1)[2]  # never stops early
+            for stats in (rooted, per_root, refuted):
+                assert stats.nodes == 2 * stats.prunings - 1, (g.adj, v, stats)
+                checked += 1
+    assert checked > 2000
+
+
 @st.composite
 def graphs_with_root(draw):
     n = draw(st.integers(1, 14))
@@ -210,10 +236,11 @@ def test_matches_oracle_on_arbitrary_graphs(case):
     assert is_induced_tree(g, res.witness)
     rg = RootedGraph(g, v)
     rres = max_induced_tree_through(rg)
-    assert rres.size == brute_force_t(g, v).size
+    t = brute_force_t(g, v).size
+    assert rres.size == t
     assert is_induced_tree(g, rres.witness) and rres.witness >> v & 1
-    assert exists_induced_tree_through(rg, rres.size)
-    assert not exists_induced_tree_through(rg, rres.size + 1)
+    for k in range(1, g.n + 2):
+        assert exists_induced_tree_through(rg, k) == (k <= t)
     assert max(max_induced_tree_through(RootedGraph(g, u)).size for u in range(g.n)) == res.size
 
 
