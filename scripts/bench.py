@@ -1,0 +1,221 @@
+"""Counters, result digests and wall time on fixed groups, before and after a change.
+
+    python scripts/bench.py --base REV --out BENCH_<label>.json
+
+Measures two source trees: ``src/`` of git revision REV, extracted with
+``git archive`` into a temporary directory, and ``src/`` of this checkout.
+Every run measures the same GROUPS: one enumeration walk
+``enumerate_connected_triangle_free(n)`` for n = 7..10, then
+``max_induced_tree`` once per graph plus ``max_induced_tree_through`` at every
+root over the n = 9 census, G_6 and K_{m,m} minus a perfect matching for
+m = 6..8. Each group runs in a fresh interpreter per tree; the trees alternate
+group by group, and so does which tree runs first, so a change in host load
+falls on both.
+
+The interpreter builds the group's input untimed, runs its work once with call
+counters wrapped around the canon functions that ``indtree.enumeration`` calls
+(``equitable_partition``, ``canonical_labeling``), around ``canon._search`` and
+around ``canon._refine`` (a function that a tree lacks counts as 0 calls), and
+then runs the work REPEATS more times unwrapped for the wall time. Every row
+records the same fields: the canon calls, the solver calls, search nodes and
+prunings of each kind (rooted, unrooted), and a sha256 over the results, that
+is the emitted graph6 lines of a walk, or each solve's
+``repr((kind, size, witness, nodes, prunings))``. Counters and digests are
+exact and machine-independent; the wall times are recorded with the host that
+produced them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import importlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from contextlib import contextmanager
+from io import BytesIO
+from pathlib import Path
+from typing import Iterator
+
+ROOT = Path(__file__).resolve().parent.parent
+GROUPS = (
+    "enumerate(7)", "enumerate(8)", "enumerate(9)", "enumerate(10)",
+    "census(9)", "g_k(6)", "knn_minus_pm(6)", "knn_minus_pm(7)", "knn_minus_pm(8)",
+)
+REPEATS = 9
+# (module, function) pairs; each is wrapped where it is looked up at call time
+CANON = (
+    ("enumeration", "equitable_partition"),
+    ("enumeration", "canonical_labeling"),
+    ("canon", "_search"),
+    ("canon", "_refine"),
+)
+
+
+def solve_all(gs: list) -> list:
+    from indtree import RootedGraph, max_induced_tree, max_induced_tree_through
+
+    results = []
+    for g in gs:
+        results.append(max_induced_tree(g))
+        results.extend(max_induced_tree_through(RootedGraph(g, v)) for v in range(g.n))
+    return results
+
+
+def measure(group: str) -> dict:
+    """Untimed build, one counted run and REPEATS timed runs of one group in this interpreter."""
+    import indtree
+
+    name, n = group[:-1].split("(")
+    n = int(n)
+    if name == "enumerate":
+        gs = []
+
+        def work():
+            return list(indtree.enumerate_connected_triangle_free(n))
+    else:
+        if name == "census":
+            gs = list(indtree.enumerate_connected_triangle_free(n))
+        elif name == "g_k":
+            gs = [indtree.build_g_k(n).graph]
+        else:
+            gs = [indtree.build_knn_minus_pm(n)]
+
+        def work():
+            return solve_all(gs)
+
+    canon = {fn: 0 for _, fn in CANON}
+
+    def counting(fn_name, fn):
+        def wrapper(*args, **kwargs):
+            canon[fn_name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    originals = []
+    for module_name, fn_name in CANON:
+        module = importlib.import_module(f"indtree.{module_name}")
+        if hasattr(module, fn_name):
+            originals.append((module, fn_name, getattr(module, fn_name)))
+    for module, fn_name, fn in originals:
+        setattr(module, fn_name, counting(fn_name, fn))
+    try:
+        results = work()
+    finally:
+        for module, fn_name, fn in originals:
+            setattr(module, fn_name, fn)
+
+    solver = {kind: {"calls": 0, "nodes": 0, "prunings": 0} for kind in ("rooted", "unrooted")}
+    digest = hashlib.sha256()
+    for r in results:
+        if name == "enumerate":
+            digest.update(indtree.to_graph6(r) + b"\n")
+            continue
+        kind = "unrooted" if r.required_root is None else "rooted"
+        solver[kind]["calls"] += 1
+        solver[kind]["nodes"] += r.stats.nodes
+        solver[kind]["prunings"] += r.stats.prunings
+        digest.update(repr((kind, r.size, r.witness, r.stats.nodes, r.stats.prunings)).encode())
+    seconds = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        work()
+        seconds.append(round(time.perf_counter() - start, 4))
+    return {
+        "group": group,
+        "graphs": len(results) if name == "enumerate" else len(gs),
+        "canon": canon,
+        **solver,
+        "results_sha256": digest.hexdigest(),
+        "wall_s": seconds,
+        "wall_s_median": statistics.median(seconds),
+    }
+
+
+def host() -> dict:
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo", encoding="ascii", errors="replace") as fh:
+            cpu = next((ln.split(":", 1)[1].strip() for ln in fh if ln.startswith("model name")), cpu)
+    except OSError:
+        pass
+    return {
+        "cpu": cpu,
+        "cpus": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": f"{platform.python_implementation()} {platform.python_version()}",
+    }
+
+
+@contextmanager
+def revision_src(rev: str) -> Iterator[tuple[str, Path]]:
+    """Short hash of ``rev`` and its ``src/``, extracted with ``git archive``
+    into a temporary directory that is removed on exit."""
+    short = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--short", rev],
+        check=True, capture_output=True, text=True,
+    ).stdout.strip()
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", short, "src"], check=True, capture_output=True
+    ).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=BytesIO(archive)) as tar:
+            tar.extractall(tmp)
+        yield short, Path(tmp) / "src"
+
+
+def run(src: Path, group: str) -> dict:
+    out = subprocess.run(
+        [sys.executable, __file__, "--measure", group],
+        env=dict(os.environ, PYTHONPATH=str(src)), check=True, capture_output=True, text=True,
+    ).stdout
+    print(f"{src}: {out}", end="", file=sys.stderr)
+    return json.loads(out)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--base", help="git revision to compare against")
+    ap.add_argument("--out", help="JSON file to write (required)")
+    ap.add_argument("--measure", choices=GROUPS, help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.measure is not None:
+        print(json.dumps(measure(args.measure)))
+        return
+    if args.base is None or args.out is None:
+        ap.error("--base and --out are required")
+    before = []
+    after = []
+    with revision_src(args.base) as (rev, src):
+        for i, group in enumerate(GROUPS):
+            if i % 2:
+                after.append(run(ROOT / "src", group))
+                before.append(run(src, group))
+            else:
+                before.append(run(src, group))
+                after.append(run(ROOT / "src", group))
+    report = {
+        "what": "per group: one enumerate_connected_triangle_free(n) walk, or max_induced_tree "
+        "once per graph and max_induced_tree_through at every root; canon calls made from "
+        "indtree.enumeration, canon._search and canon._refine calls, solver calls, search nodes "
+        "and prunings of each kind, and sha256 over the results (exact); wall seconds of "
+        "REPEATS more runs of the same work",
+        "host": host(),
+        "repeats": REPEATS,
+        "same_results": all(b["results_sha256"] == a["results_sha256"] for b, a in zip(before, after)),
+        "before": {"rev": rev, "groups": before},
+        "after": {"rev": "working tree", "groups": after},
+    }
+    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -167,10 +167,10 @@ def _cmd_construct(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
         g = build_knn_minus_pm(args.m)
     if args.json:
         out = {"family": args.family, "n": g.n, "graph6": to_graph6(g).decode("ascii")}
-        if args.k is not None:
-            out["k"] = args.k
-        if args.m is not None:
+        if args.family == "knn-minus-pm":
             out["m"] = args.m
+        else:
+            out["k"] = args.k
         if root is not None:
             out["root"] = root
         print(json.dumps(out, indent=2))

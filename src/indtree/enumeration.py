@@ -31,6 +31,7 @@ walk takes about 17 s, and the CLI asks for a flag before it starts n = 12.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterator
@@ -70,12 +71,13 @@ def t3_star_formula(n: int) -> int:
 
     This equals ceil((1 + sqrt(8n - 7)) / 2), the closed form for the
     minimum rooted tree number over connected triangle-free graphs on n
-    vertices.
+    vertices. ``(1 + isqrt(8n - 7)) // 2`` is that value or one below it,
+    so one comparison finds it in O(1) arithmetic operations.
     """
     if n < 1:
         raise GraphError(f"n must be >= 1, got {n}")
-    k = 1
-    while 1 + (k - 1) * k // 2 < n:
+    k = (1 + math.isqrt(8 * n - 7)) // 2
+    if 1 + (k - 1) * k // 2 < n:
         k += 1
     return k
 

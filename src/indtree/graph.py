@@ -152,37 +152,37 @@ def is_connected(g: Graph) -> bool:
 
 def _component_of(adj: tuple[int, ...], seed: int, allowed: int) -> int:
     """Vertices reachable from the ``seed`` mask through ``allowed`` vertices."""
-    seen = seed & allowed
-    frontier = seen
+    seen = frontier = seed & allowed
     while frontier:
         nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & allowed & ~seen
         seen |= frontier
     return seen
-
-
-def induced_edge_count(g: Graph, s: int) -> int:
-    """Number of edges of ``g`` with both endpoints in the vertex set ``s``."""
-    adj = g.adj
-    return sum((adj[v] & s).bit_count() for v in bits(s)) // 2
 
 
 def is_induced_tree(g: Graph, s: int) -> bool:
     """True iff ``s`` is nonempty and induces a connected, acyclic subgraph.
 
     Equivalently: the induced subgraph is connected with exactly ``|s| - 1``
-    edges. The empty set is not a tree.
+    edges, that is its degrees sum to ``2(|s| - 1)``. The empty set is not a
+    tree.
     """
     if s == 0:
         return False
     if s & ~g.full_mask:
         raise GraphError("vertex set has bits outside the graph")
-    k = s.bit_count()
-    if induced_edge_count(g, s) != k - 1:
-        return False
-    return _component_of(g.adj, s & -s, s) == s
+    adj = g.adj
+    degree_sum = 0
+    rest = s
+    while rest:
+        low = rest & -rest
+        degree_sum += (adj[low.bit_length() - 1] & s).bit_count()
+        rest ^= low
+    return degree_sum == 2 * (s.bit_count() - 1) and _component_of(adj, s & -s, s) == s
 
 
 def closed_neighborhood(g: Graph, v: int) -> int:

@@ -34,6 +34,20 @@ def test_construct_gk_json(capsys):
     assert from_graph6(d["graph6"]).n == 11
 
 
+@pytest.mark.parametrize(
+    "argv, used, unused",
+    [
+        (["--family", "gk", "--k", "3", "--m", "5"], ("k", 3), "m"),
+        (["--family", "bk", "--k", "3", "--m", "5"], ("k", 3), "m"),
+        (["--family", "knn-minus-pm", "--k", "3", "--m", "5"], ("m", 5), "k"),
+    ],
+)
+def test_construct_json_reports_only_the_family_parameter(capsys, argv, used, unused):
+    assert run(["construct", *argv, "--json"]) == 0
+    d = json.loads(capsys.readouterr().out)
+    assert d[used[0]] == used[1] and unused not in d
+
+
 def test_construct_bk_edgelist(capsys):
     assert run(["construct", "--family", "bk", "--k", "4", "--format", "edgelist"]) == 0
     out = capsys.readouterr().out

@@ -55,7 +55,7 @@ def test_formula_matches_ceiling_expression():
 
 
 def test_formula_is_smallest_k():
-    for n in range(1, 200):
+    for n in [*range(1, 10**5 + 1), 10**18]:
         k = t3_star_formula(n)
         assert n <= 1 + (k - 1) * k // 2
         assert k == 1 or n > 1 + (k - 2) * (k - 1) // 2
