@@ -8,13 +8,7 @@ isomorphism, and exhaustively verifies the associated extremal claims.
 
 from .canon import CanonicalForm, are_rooted_isomorphic, canonical_form, canonical_labeling
 from .constructions import blow_up_path, build_b_k, build_g_k, build_knn_minus_pm
-from .enumeration import (
-    EnumerationReport,
-    enumerate_connected_triangle_free,
-    rooted_census,
-    t3_star_formula,
-    tabulate,
-)
+from .enumeration import enumerate_connected_triangle_free
 from .formats import (
     Graph6ParseError,
     from_edge_list_text,
@@ -43,8 +37,12 @@ from .solver import (
 )
 from .verify import (
     CLAIMS,
+    EnumerationReport,
     FailureRecord,
     VerificationReport,
+    rooted_census,
+    t3_star_formula,
+    tabulate,
     verify_corollary,
     verify_counterexample_b5,
     verify_diameter_remark,

@@ -22,15 +22,11 @@ from typing import Sequence
 
 from . import verify as verify_mod
 from .constructions import build_b_k, build_g_k, build_knn_minus_pm
-from .enumeration import MAX_N, EnumerationReport, enumerate_connected_triangle_free, tabulate
-from .formats import (
-    from_edge_list_text,
-    read_graph6_lines,
-    to_edge_list_text,
-    to_graph6,
-)
+from .enumeration import MAX_N, enumerate_connected_triangle_free
+from .formats import read_graphs, to_edge_list_text, to_graph6
 from .graph import Graph, GraphError, RootedGraph
 from .solver import max_induced_tree, max_induced_tree_through
+from .verify import EnumerationReport, tabulate
 
 DEFAULT_MAX_N = 11
 
@@ -190,14 +186,7 @@ def _read_graphs(path: str) -> list[Graph]:
                 text = fh.read()
     except UnicodeDecodeError as exc:
         raise GraphError(f"{path!r} is not ASCII text") from None
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise GraphError(f"no graphs in {path!r}")
-    # graph6 bytes all sit in 63..126, so an edge-list header's leading
-    # digit (< 63) cannot be mistaken for one
-    if ord(lines[0][0]) >= 63:
-        return list(read_graph6_lines(text))
-    return [from_edge_list_text(text)]
+    return read_graphs(text)
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

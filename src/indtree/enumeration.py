@@ -31,55 +31,14 @@ walk takes about 17 s, and the CLI asks for a flag before it starts n = 12.
 
 from __future__ import annotations
 
-import math
-import time
-from dataclasses import dataclass
 from typing import Iterator
 
 from .canon import canonical_labeling, equitable_partition
-from .formats import to_graph6
-from .graph import Graph, GraphError, RootedGraph, _component_of, bits
-from .solver import max_induced_tree_through
+from .graph import Graph, GraphError, _component_of, bits
 
 MAX_N = 12
 
 Automorphisms = tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class EnumerationReport:
-    """Exact minima of t(G) and t(G, v) over one vertex count.
-
-    extremal_rooted lists every (graph6, root) pair attaining the rooted
-    minimum; extremal_unrooted lists every graph6 attaining the unrooted
-    minimum. Both are sorted, so reports are reproducible byte for byte;
-    elapsed is wall-clock seconds and is excluded from any identity checks.
-    """
-
-    n: int
-    graphs_seen: int
-    t3: int
-    t3_star: int
-    t3_star_formula: int
-    extremal_rooted: tuple[tuple[str, int], ...]
-    extremal_unrooted: tuple[str, ...]
-    elapsed: float
-
-
-def t3_star_formula(n: int) -> int:
-    """Smallest k with n <= 1 + (k-1)k/2, in pure integer arithmetic.
-
-    This equals ceil((1 + sqrt(8n - 7)) / 2), the closed form for the
-    minimum rooted tree number over connected triangle-free graphs on n
-    vertices. ``(1 + isqrt(8n - 7)) // 2`` is that value or one below it,
-    so one comparison finds it in O(1) arithmetic operations.
-    """
-    if n < 1:
-        raise GraphError(f"n must be >= 1, got {n}")
-    k = (1 + math.isqrt(8 * n - 7)) // 2
-    if 1 + (k - 1) * k // 2 < n:
-        k += 1
-    return k
 
 
 def _check_order(n: int, name: str = "n") -> None:
@@ -209,54 +168,3 @@ def _independent_sets(g: Graph) -> list[int]:
         bit = 1 << v
         sets += [s | bit for s in sets if not av & s]
     return sets
-
-
-def rooted_census(n: int) -> Iterator[tuple[Graph, str, tuple[int, ...]]]:
-    """Yield (g, graph6, sizes) for every class on n vertices, sizes[v] = t(G, v).
-
-    One enumeration walk and one rooted solve per (G, v). Every exhaustive
-    claim over rooted graphs reads this stream; t(G) is max(sizes).
-    """
-    for g in enumerate_connected_triangle_free(n):
-        g6 = to_graph6(g).decode("ascii")
-        yield g, g6, tuple(max_induced_tree_through(RootedGraph(g, v)).size for v in range(n))
-
-
-def tabulate(n: int) -> EnumerationReport:
-    """Exact t3(n) and t3_star(n) with every extremal witness.
-
-    One pass over rooted_census: every vertex of every graph is tried as the
-    root, and t(G) is the largest of those rooted values.
-    """
-    start = time.perf_counter()
-    seen = 0
-    t3 = n + 1
-    t3s = n + 1
-    ext_unrooted: list[str] = []
-    ext_rooted: list[tuple[str, int]] = []
-    for _, g6, sizes in rooted_census(n):
-        seen += 1
-        tg = max(sizes)
-        if tg < t3:
-            t3 = tg
-            ext_unrooted = [g6]
-        elif tg == t3:
-            ext_unrooted.append(g6)
-        for v, tv in enumerate(sizes):
-            if tv < t3s:
-                t3s = tv
-                ext_rooted = [(g6, v)]
-            elif tv == t3s:
-                ext_rooted.append((g6, v))
-    if seen == 0:
-        raise AssertionError(f"no connected triangle-free graphs on {n} vertices")
-    return EnumerationReport(
-        n=n,
-        graphs_seen=seen,
-        t3=t3,
-        t3_star=t3s,
-        t3_star_formula=t3_star_formula(n),
-        extremal_rooted=tuple(sorted(ext_rooted)),
-        extremal_unrooted=tuple(sorted(ext_unrooted)),
-        elapsed=time.perf_counter() - start,
-    )

@@ -141,6 +141,21 @@ def read_graph6_lines(text: bytes | str) -> list[Graph]:
     return graphs
 
 
+def read_graphs(text: str) -> list[Graph]:
+    """Parse graph6 lines or one edge-list text, whichever ``text`` holds.
+
+    graph6 bytes all sit in 63..126 and the optional ">>graph6<<" header
+    starts with '>' (62), so an edge-list header's leading digit (< 62)
+    cannot be mistaken for either.
+    """
+    first = text.lstrip()[:1]
+    if not first:
+        raise GraphError("no graphs in the input")
+    if ord(first) >= 62:
+        return read_graph6_lines(text)
+    return [from_edge_list_text(text)]
+
+
 def to_edge_list_text(g: Graph) -> str:
     lines = [f"{g.n} {g.edge_count}"]
     lines.extend(f"{u} {v}" for u, v in g.edges())

@@ -180,14 +180,22 @@ def max_induced_tree(g: Graph) -> TreeSearchResult:
 
 
 def exists_induced_tree_through(rg: RootedGraph, target: int) -> bool:
-    """True iff t(G, v) >= target; stops at the first tree of that size."""
+    """True iff t(G, v) >= target; stops at the first tree of that size.
+
+    A True answer has its witness checked like the other entry points; a
+    False one has no witness to check.
+    """
     if target < 1:
         raise GraphError(f"target must be >= 1, got {target}")
     if target > rg.graph.n:
         return False
     if target == 1:
         return True
-    return _search(rg.graph, rg.root, stop_at=target)[0] >= target
+    size, witness, stats = _search(rg.graph, rg.root, stop_at=target)
+    if size < target:
+        return False
+    _check_witness(rg.graph, TreeSearchResult(size, witness, rg.root, stats))
+    return True
 
 
 def brute_force_t(g: Graph, root: int | None = None) -> TreeSearchResult:

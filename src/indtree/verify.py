@@ -20,6 +20,11 @@ The claims, in the verifier's vocabulary:
   10 vertices, beating the 9-vertex B_5 at the same tree number.
 * diameter_remark: among graphs with diameter exactly k-1 and tree number
   at most k, none has more vertices than B_k.
+
+The rooted claims read one instance stream, rooted_census: every class of
+one order with t(G, v) for each root. tabulate reduces that stream to the
+exact minima t3(n) and t3_star(n) with their extremal witnesses, which the
+corollary and the ``tabulate`` command report.
 """
 
 from __future__ import annotations
@@ -27,19 +32,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 from .canon import are_rooted_isomorphic
 from .constructions import build_b_k, build_g_k, build_knn_minus_pm
-from .enumeration import (
-    _check_order,
-    enumerate_connected_triangle_free,
-    rooted_census,
-    tabulate,
-)
+from .enumeration import _check_order, enumerate_connected_triangle_free
 from .formats import to_graph6
 from .graph import Graph, GraphError, RootedGraph, closed_neighborhood, diameter
-from .solver import max_induced_tree
+from .solver import max_induced_tree, max_induced_tree_through
 
 CLAIMS = (
     "theorem1",
@@ -48,6 +48,93 @@ CLAIMS = (
     "counterexample_b5",
     "diameter_remark",
 )
+
+
+@dataclass(frozen=True)
+class EnumerationReport:
+    """Exact minima of t(G) and t(G, v) over one vertex count.
+
+    extremal_rooted lists every (graph6, root) pair attaining the rooted
+    minimum; extremal_unrooted lists every graph6 attaining the unrooted
+    minimum. Both are sorted, so reports are reproducible byte for byte;
+    elapsed is wall-clock seconds and is excluded from any identity checks.
+    """
+
+    n: int
+    graphs_seen: int
+    t3: int
+    t3_star: int
+    t3_star_formula: int
+    extremal_rooted: tuple[tuple[str, int], ...]
+    extremal_unrooted: tuple[str, ...]
+    elapsed: float
+
+
+def t3_star_formula(n: int) -> int:
+    """Smallest k with n <= 1 + (k-1)k/2, in pure integer arithmetic.
+
+    This equals ceil((1 + sqrt(8n - 7)) / 2), the closed form for the
+    minimum rooted tree number over connected triangle-free graphs on n
+    vertices. ``(1 + isqrt(8n - 7)) // 2`` is that value or one below it,
+    so one comparison finds it in O(1) arithmetic operations.
+    """
+    if n < 1:
+        raise GraphError(f"n must be >= 1, got {n}")
+    k = (1 + math.isqrt(8 * n - 7)) // 2
+    if 1 + (k - 1) * k // 2 < n:
+        k += 1
+    return k
+
+
+def rooted_census(n: int) -> Iterator[tuple[Graph, str, tuple[int, ...]]]:
+    """Yield (g, graph6, sizes) for every class on n vertices, sizes[v] = t(G, v).
+
+    One enumeration walk and one rooted solve per (G, v). Every exhaustive
+    claim over rooted graphs reads this stream; t(G) is max(sizes).
+    """
+    for g in enumerate_connected_triangle_free(n):
+        g6 = to_graph6(g).decode("ascii")
+        yield g, g6, tuple(max_induced_tree_through(RootedGraph(g, v)).size for v in range(n))
+
+
+def tabulate(n: int) -> EnumerationReport:
+    """Exact t3(n) and t3_star(n) with every extremal witness.
+
+    One pass over rooted_census: every vertex of every graph is tried as the
+    root, and t(G) is the largest of those rooted values.
+    """
+    start = time.perf_counter()
+    seen = 0
+    t3 = n + 1
+    t3s = n + 1
+    ext_unrooted: list[str] = []
+    ext_rooted: list[tuple[str, int]] = []
+    for _, g6, sizes in rooted_census(n):
+        seen += 1
+        tg = max(sizes)
+        if tg < t3:
+            t3 = tg
+            ext_unrooted = [g6]
+        elif tg == t3:
+            ext_unrooted.append(g6)
+        for v, tv in enumerate(sizes):
+            if tv < t3s:
+                t3s = tv
+                ext_rooted = [(g6, v)]
+            elif tv == t3s:
+                ext_rooted.append((g6, v))
+    if seen == 0:
+        raise AssertionError(f"no connected triangle-free graphs on {n} vertices")
+    return EnumerationReport(
+        n=n,
+        graphs_seen=seen,
+        t3=t3,
+        t3_star=t3s,
+        t3_star_formula=t3_star_formula(n),
+        extremal_rooted=tuple(sorted(ext_rooted)),
+        extremal_unrooted=tuple(sorted(ext_unrooted)),
+        elapsed=time.perf_counter() - start,
+    )
 
 
 @dataclass(frozen=True)
@@ -108,6 +195,13 @@ def _report(
     )
 
 
+def _failure(g: Graph | str, root: int | None = None, /, **observed: int) -> FailureRecord:
+    """The record of one falsifying instance. ``g`` is the graph or its
+    graph6 text; ``observed`` is given in the order it is printed."""
+    g6 = g if isinstance(g, str) else to_graph6(g).decode("ascii")
+    return FailureRecord(g6, root, tuple(observed.items()))
+
+
 def verify_theorem1(max_n: int) -> VerificationReport:
     """Order bound and uniqueness of the extremal rooted graph.
 
@@ -130,43 +224,40 @@ def verify_theorem2(max_n: int) -> VerificationReport:
 
 def _verify_rooted(
     claim: str,
-    failure: Callable[[Graph, str, int, int], FailureRecord | None],
+    failure: Callable[[Graph, int, int], FailureRecord | None],
     max_n: int,
 ) -> VerificationReport:
-    """Run ``failure(g, graph6, v, k)`` on every (G, v) of the census up to max_n."""
+    """Run ``failure(g, v, k)`` on every (G, v) of the census up to max_n."""
     _check_order(max_n, "max_n")
     start = time.perf_counter()
     instances = 0
     failures: list[FailureRecord] = []
     for n in range(1, max_n + 1):
-        for g, g6, sizes in rooted_census(n):
+        for g, _, sizes in rooted_census(n):
             instances += n
             for v, k in enumerate(sizes):
-                record = failure(g, g6, v, k)
+                record = failure(g, v, k)
                 if record is not None:
                     failures.append(record)
     return _report(claim, (("max_n", max_n),), instances, failures, start)
 
 
-def _theorem1_failure(g: Graph, g6: str, v: int, k: int) -> FailureRecord | None:
+def _theorem1_failure(g: Graph, v: int, k: int) -> FailureRecord | None:
     n = g.n
     bound = 1 + (k - 1) * k // 2
-    observed = (("n", n), ("t_rooted", k), ("bound", bound))
     if n > bound:
-        return FailureRecord(g6, v, observed)
+        return _failure(g, v, n=n, t_rooted=k, bound=bound)
     if n == bound and not are_rooted_isomorphic(RootedGraph(g, v), build_g_k(k)):
-        return FailureRecord(g6, v, observed + (("extremal_match", 0),))
+        return _failure(g, v, n=n, t_rooted=k, bound=bound, extremal_match=0)
     return None
 
 
-def _theorem2_failure(g: Graph, g6: str, v: int, k: int) -> FailureRecord | None:
+def _theorem2_failure(g: Graph, v: int, k: int) -> FailureRecord | None:
     outside = g.n - closed_neighborhood(g, v).bit_count()
     bound = (k - 2) * (k - 1) // 2
     if outside <= bound:
         return None
-    return FailureRecord(
-        g6, v, (("n", g.n), ("t_rooted", k), ("outside_closed_nbhd", outside), ("bound", bound))
-    )
+    return _failure(g, v, n=g.n, t_rooted=k, outside_closed_nbhd=outside, bound=bound)
 
 
 def verify_corollary(max_n: int) -> VerificationReport:
@@ -191,38 +282,16 @@ def verify_corollary(max_n: int) -> VerificationReport:
         instances += rep.graphs_seen
         g6_any = rep.extremal_rooted[0][0] if rep.extremal_rooted else ""
         if rep.t3_star != rep.t3_star_formula:
-            failures.append(
-                FailureRecord(
-                    g6_any,
-                    None,
-                    (("n", n), ("t3_star", rep.t3_star), ("formula", rep.t3_star_formula)),
-                )
-            )
+            failures.append(_failure(g6_any, n=n, t3_star=rep.t3_star, formula=rep.t3_star_formula))
         if rep.t3_star > rep.t3:
-            failures.append(
-                FailureRecord(
-                    g6_any, None, (("n", n), ("t3_star", rep.t3_star), ("t3", rep.t3))
-                )
-            )
+            failures.append(_failure(g6_any, n=n, t3_star=rep.t3_star, t3=rep.t3))
         if n in b_orders:
             kk = b_orders[n]
             bk = build_b_k(kk)
             t_bk = max_induced_tree(bk).size
             cap = math.isqrt(4 * n) + 1
             if rep.t3 > t_bk or t_bk > kk or kk > cap:
-                failures.append(
-                    FailureRecord(
-                        to_graph6(bk).decode("ascii"),
-                        None,
-                        (
-                            ("n", n),
-                            ("t3", rep.t3),
-                            ("t_b_k", t_bk),
-                            ("k", kk),
-                            ("cap", cap),
-                        ),
-                    )
-                )
+                failures.append(_failure(bk, n=n, t3=rep.t3, t_b_k=t_bk, k=kk, cap=cap))
     return _report("corollary", (("max_n", max_n),), instances, failures, start)
 
 
@@ -239,17 +308,9 @@ def verify_counterexample_b5() -> VerificationReport:
     t_km = max_induced_tree(km).size
     t_b5 = max_induced_tree(b5).size
     if not (t_km == 5 and km.n == 10):
-        failures.append(
-            FailureRecord(
-                to_graph6(km).decode("ascii"), None, (("n", km.n), ("t", t_km))
-            )
-        )
+        failures.append(_failure(km, n=km.n, t=t_km))
     if not (b5.n == 9 and t_b5 == 5):
-        failures.append(
-            FailureRecord(
-                to_graph6(b5).decode("ascii"), None, (("n", b5.n), ("t", t_b5))
-            )
-        )
+        failures.append(_failure(b5, n=b5.n, t=t_b5))
     return _report("counterexample_b5", (), 2, failures, start)
 
 
@@ -275,13 +336,7 @@ def verify_diameter_remark(k: int, max_n: int) -> VerificationReport:
     t_bk = max_induced_tree(bk).size
     d_bk = diameter(bk)
     if d_bk != k - 1 or t_bk > k:
-        failures.append(
-            FailureRecord(
-                to_graph6(bk).decode("ascii"),
-                None,
-                (("n", bk.n), ("diameter", d_bk), ("t", t_bk)),
-            )
-        )
+        failures.append(_failure(bk, n=bk.n, diameter=d_bk, t=t_bk))
     instances = 1
     for n in range(bk.n + 1, max_n + 1):
         for g in enumerate_connected_triangle_free(n):
@@ -290,13 +345,7 @@ def verify_diameter_remark(k: int, max_n: int) -> VerificationReport:
                 continue
             t_g = max_induced_tree(g).size
             if t_g <= k:
-                failures.append(
-                    FailureRecord(
-                        to_graph6(g).decode("ascii"),
-                        None,
-                        (("n", n), ("diameter", k - 1), ("t", t_g)),
-                    )
-                )
+                failures.append(_failure(g, n=n, diameter=k - 1, t=t_g))
     return _report(
         "diameter_remark", (("k", k), ("max_n", max_n)), instances, failures, start
     )

@@ -10,8 +10,7 @@ import pytest
 import indtree.verify as verify_mod
 from indtree import Graph, canonical_form, from_graph6, to_edge_list_text, to_graph6
 from indtree.cli import run
-from indtree.enumeration import EnumerationReport
-from indtree.verify import FailureRecord, VerificationReport
+from indtree.verify import EnumerationReport, FailureRecord, VerificationReport
 
 
 def c5_file(tmp_path):
@@ -107,6 +106,17 @@ def test_solve_stdin(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("Bg\n"))
     assert run(["solve", "--input", "-"]) == 0
     assert capsys.readouterr().out.startswith("t=3")
+
+
+@pytest.mark.parametrize("text", ["Bw\n", ">>graph6<<Bw\n"])
+def test_solve_graph6_file_and_stdin_with_or_without_the_header(text, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "k3.g6"
+    path.write_text(text)
+    assert run(["solve", "--input", str(path)]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert run(["solve", "--input", "-"]) == 0
+    assert capsys.readouterr().out == from_file == "t=2 witness=[0,1]\n"
 
 
 def test_solve_missing_file(capsys):

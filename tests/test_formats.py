@@ -17,7 +17,7 @@ from indtree import (
     to_edge_list_text,
     to_graph6,
 )
-from indtree.formats import MAX_EDGE_LIST_N
+from indtree.formats import MAX_EDGE_LIST_N, read_graphs
 
 from helpers import random_graph, to_nx
 
@@ -51,6 +51,22 @@ def test_accepts_str_and_optional_prefix():
     g = Graph.from_edge_list(3, [(0, 1), (1, 2)])
     assert from_graph6("Bg") == g
     assert from_graph6(b">>graph6<<Bg") == g
+
+
+@pytest.mark.parametrize("prefix", ["", ">>graph6<<"])
+def test_read_graphs_takes_graph6_with_or_without_the_header(prefix):
+    graphs = read_graphs(f"\n {prefix}Bw\nA_\n")
+    assert graphs == [Graph.from_edge_list(3, [(0, 1), (0, 2), (1, 2)]), Graph.from_edge_list(2, [(0, 1)])]
+
+
+def test_read_graphs_takes_an_edge_list():
+    assert read_graphs("\n3 2\n0 1\n1 2\n") == [Graph.from_edge_list(3, [(0, 1), (1, 2)])]
+
+
+@pytest.mark.parametrize("text", ["", " \n\n"])
+def test_read_graphs_rejects_empty_input(text):
+    with pytest.raises(GraphError, match="no graphs"):
+        read_graphs(text)
 
 
 def test_read_graph6_lines():

@@ -9,6 +9,7 @@ from indtree import (
     Graph,
     GraphError,
     RootedGraph,
+    SearchStats,
     brute_force_t,
     build_g_k,
     build_knn_minus_pm,
@@ -115,6 +116,20 @@ def test_exists_variant():
     assert not exists_induced_tree_through(g5, 12)  # above n
     with pytest.raises(GraphError):
         exists_induced_tree_through(g5, 0)
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [0b01011, 0b01110],  # {0, 1, 3} is no tree of C5; {1, 2, 3} misses the root 0
+)
+def test_exists_checks_the_tree_it_stops_at(witness, monkeypatch):
+    rg = RootedGraph(c_n(5), 0)
+    monkeypatch.setattr("indtree.solver._search", lambda g, root, stop_at: (3, witness, SearchStats(1, 0)))
+    with pytest.raises(AssertionError):
+        exists_induced_tree_through(rg, 3)
+    # a refutation has no tree to check
+    monkeypatch.setattr("indtree.solver._search", lambda g, root, stop_at: (2, witness, SearchStats(1, 0)))
+    assert not exists_induced_tree_through(rg, 3)
 
 
 def test_exists_agrees_with_sizes():

@@ -239,3 +239,92 @@ def test_theorem2_records_every_failure(monkeypatch):
         ("C]", 2, c4),
         ("C]", 3, c4),
     ]
+
+
+def _shift_unrooted_sizes(monkeypatch, delta):
+    """Make every unrooted solve report t(G) + delta (never below 1), in
+    every ``indtree`` module that holds the solver function."""
+    real = indtree.max_induced_tree
+
+    def shifted(g):
+        res = real(g)
+        return dataclasses.replace(res, size=max(1, res.size + delta))
+
+    for name, module in list(sys.modules.items()):
+        if name == "indtree" or name.startswith("indtree."):
+            for attr, obj in list(vars(module).items()):
+                if obj is real:
+                    monkeypatch.setattr(module, attr, shifted)
+
+
+def _failures(rep):
+    return [(f.graph6, f.root, f.observed) for f in rep.failures]
+
+
+def test_corollary_records_every_formula_mismatch(monkeypatch):
+    _under_report_rooted_sizes(monkeypatch)
+    rep = verify_corollary(5)
+    assert rep.status == "fail" and rep.instances_checked == 12
+    assert _failures(rep) == [
+        ("A_", None, (("n", 2), ("t3_star", 1), ("formula", 2))),
+        ("BW", None, (("n", 3), ("t3_star", 2), ("formula", 3))),
+        ("C]", None, (("n", 4), ("t3_star", 2), ("formula", 3))),
+        ("DEw", None, (("n", 5), ("t3_star", 3), ("formula", 4))),
+    ]
+
+
+def test_corollary_records_every_rooted_minimum_above_the_unrooted(monkeypatch):
+    real = indtree.verify.tabulate
+
+    def t3_below_t3_star(n):
+        rep = real(n)
+        return dataclasses.replace(rep, t3=rep.t3_star - 1)
+
+    monkeypatch.setattr("indtree.verify.tabulate", t3_below_t3_star)
+    rep = verify_corollary(4)
+    assert rep.status == "fail" and rep.instances_checked == 6
+    assert _failures(rep) == [
+        ("@", None, (("n", 1), ("t3_star", 1), ("t3", 0))),
+        ("A_", None, (("n", 2), ("t3_star", 2), ("t3", 1))),
+        ("BW", None, (("n", 3), ("t3_star", 3), ("t3", 2))),
+        ("C]", None, (("n", 4), ("t3_star", 3), ("t3", 2))),
+    ]
+
+
+def test_corollary_records_every_b_k_certificate_failure(monkeypatch):
+    _shift_unrooted_sizes(monkeypatch, +1)
+    rep = verify_corollary(5)
+    assert rep.status == "fail" and rep.instances_checked == 12
+    assert _failures(rep) == [
+        ("@", None, (("n", 1), ("t3", 1), ("t_b_k", 2), ("k", 1), ("cap", 3))),
+        ("A_", None, (("n", 2), ("t3", 2), ("t_b_k", 3), ("k", 2), ("cap", 3))),
+        ("Cr", None, (("n", 4), ("t3", 3), ("t_b_k", 4), ("k", 3), ("cap", 5))),
+    ]
+
+
+def test_counterexample_b5_records_both_graphs(monkeypatch):
+    _shift_unrooted_sizes(monkeypatch, +1)
+    rep = verify_counterexample_b5()
+    assert rep.status == "fail" and rep.instances_checked == 2
+    assert _failures(rep) == [
+        ("I?@|urg{?", None, (("n", 10), ("t", 6))),
+        ("HrX_wwB", None, (("n", 9), ("t", 6))),
+    ]
+
+
+def test_diameter_remark_records_a_failing_b_k(monkeypatch):
+    _shift_unrooted_sizes(monkeypatch, +1)
+    rep = verify_diameter_remark(3, max_n=6)
+    assert rep.status == "fail" and rep.instances_checked == 26
+    assert _failures(rep) == [("Cr", None, (("n", 4), ("diameter", 2), ("t", 4)))]
+
+
+def test_diameter_remark_records_every_larger_graph(monkeypatch):
+    _shift_unrooted_sizes(monkeypatch, -1)
+    rep = verify_diameter_remark(3, max_n=6)
+    assert rep.status == "fail" and rep.instances_checked == 26
+    assert _failures(rep) == [
+        ("DFw", None, (("n", 5), ("diameter", 2), ("t", 3))),
+        ("DUW", None, (("n", 5), ("diameter", 2), ("t", 3))),
+        ("EFz_", None, (("n", 6), ("diameter", 2), ("t", 3))),
+    ]
