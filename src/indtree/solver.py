@@ -59,6 +59,30 @@ def _search(
     child on an explicit stack, which is popped when a node is pruned, so
     nodes are visited in depth-first order, include child first.
 
+    A node is pruned unless its bound passes ``bar``, the best size so far
+    (or ``stop_at - 1``). Any tree the node can still grow into lies in
+    H = G[chosen + R], where the reach R holds the undecided vertices
+    reachable from chosen through undecided ones; H is connected. Each
+    frontier vertex has exactly one chosen neighbour and every undecided
+    neighbour of a vertex of R is in R, so H has cycle rank
+    mu = e(R) + |F| - |R| for the frontier F, with 2 e(R) the sum over R of
+    the undecided neighbour counts. A tree T >= chosen inside H keeps no
+    edge that touches S = V(H) - T, and T keeps |T| - 1 edges, so
+    mu <= sum over S of (deg_H - 1) <= |S| (top - 1) with top the largest
+    deg_H over R. The bound is therefore
+    ``size + |R| - ceil(mu / (top - 1))``; it holds with triangles too. The
+    walk over R counts mu and top vertex by vertex, layer by layer, and
+    stops early once the bound passes ``bar``: each vertex still to come
+    raises |R| by one and mu by at most (top - 2) / 2 for the final top,
+    and top only grows, so the bound taken on the vertices walked so far is
+    never above the bound at the end.
+
+    A subtree is cut only when it holds no tree larger than ``bar``, so it
+    could neither raise ``bar`` nor give the returned witness: a stronger
+    bound visits a subsequence of the nodes of a weaker one, with the same
+    pick and the same ``bar`` at each, and returns the same size and
+    witness (and under ``stop_at`` the same first tree of that size).
+
     Every node either branches in two or is pruned, so an exhaustive search
     has ``nodes == 2 * prunings - 1``. An exclude child that already fails
     the bound when it would be pushed is counted as a node and a pruning
@@ -88,42 +112,57 @@ def _search(
                 bar = size
             if stop_at is not None and size >= stop_at:
                 break
-        # upper bound: only undecided vertices reachable from chosen through
-        # undecided territory can ever join this tree; the walk is skipped
-        # when all undecided vertices together cannot pass bar, and stops
-        # once it has found more than bar. Its first step is taken in the
-        # same pass over the frontier that picks the branch vertex
+        # upper bound: size plus the reach R, the undecided vertices reachable
+        # from chosen through undecided ones, less ceil(mu / (top - 1)) of
+        # them that must stay out to break every cycle of chosen + R (see the
+        # docstring). The walk is skipped when all undecided vertices
+        # together cannot pass bar; its first step is taken in the same pass
+        # over the frontier that picks the branch vertex
         left = undecided.bit_count()
         if size + left > bar:
             front = near & undecided
             pick_deg = -1
             grow = 0
+            cycles = 0
             rest = front
             while rest:
                 low = rest & -rest
                 nbrs = adj[low.bit_length() - 1]
                 grow |= nbrs
                 d = (nbrs & undecided).bit_count()
+                cycles += d
                 if d > pick_deg:
                     pick_deg = d
                     pick = low
                     pick_nbrs = nbrs
                 rest ^= low
-            ub = size + front.bit_count()
-            if ub <= bar:
-                outside = undecided & ~front
-                frontier = grow & outside
+            # cycles sums 2 mu vertex by vertex over the walked part of R, for
+            # d undecided neighbours: d on the frontier, whose chosen edge
+            # counts, and d - 2 beyond it; top is the largest degree in
+            # chosen + R there, d + 1 on the frontier and d beyond it
+            top = pick_deg + 1
+            reach = front.bit_count()
+            outside = undecided & ~front
+            frontier = grow & outside
+            while True:
+                ub = size + reach
+                if cycles > 0:
+                    ub += -cycles // (2 * top - 2)
+                if ub > bar or not frontier:
+                    break
+                reach += frontier.bit_count()
+                outside ^= frontier
+                grow = 0
                 while frontier:
-                    ub += frontier.bit_count()
-                    if ub > bar:
-                        break
-                    outside ^= frontier
-                    grow = 0
-                    while frontier:
-                        low = frontier & -frontier
-                        grow |= adj[low.bit_length() - 1]
-                        frontier ^= low
-                    frontier = grow & outside
+                    low = frontier & -frontier
+                    nbrs = adj[low.bit_length() - 1]
+                    grow |= nbrs
+                    d = (nbrs & undecided).bit_count()
+                    cycles += d - 2
+                    if d > top:
+                        top = d
+                    frontier ^= low
+                frontier = grow & outside
             if ub > bar:
                 # the exclude child has one undecided vertex fewer; if that
                 # already fails the bound it is counted and not pushed

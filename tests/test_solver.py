@@ -207,9 +207,24 @@ def test_long_path_rooted_in_the_middle():
 
 
 def test_long_cycle_rooted():
-    # the reach bound prunes a cycle at once; ladders, by contrast, take
-    # exponentially many nodes (see README)
+    # the reach bound prunes a cycle at once
     assert max_induced_tree_through(RootedGraph(c_n(2000), 0)).size == 1999
+
+
+def ladder(k):
+    """The 2 x k ladder: rails 0..k-1 and k..2k-1, rung i joins i and k + i."""
+    rails = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return Graph.from_edge_list(2 * k, rails + [(i, k + i) for i in range(k)])
+
+
+@pytest.mark.parametrize("k, size, node_cap", [(24, 36, 180), (200, 300, 7500)])
+def test_ladder_rooted_at_a_corner_takes_few_nodes(k, size, node_cap):
+    # every rung closes a cycle; without the cycle-rank bound the search
+    # grows about 8x per four rungs (765,261 nodes at k = 24), with it
+    # 159 and 7,199 nodes
+    r = max_induced_tree_through(RootedGraph(ladder(k), k))
+    assert r.size == size
+    assert r.stats.nodes <= node_cap
 
 
 def test_every_exhaustive_search_counts_two_children_per_branch():
@@ -305,4 +320,4 @@ def test_search_counters_are_pinned():
     # nodes and prunings depend on the bound too: a faster search that walks
     # the same tree keeps this digest, a stronger bound re-pins it
     _, counters = pinned_corpus_digests()
-    assert counters == "6775b844859995774f2638e2444aa3260c9c1d31264a8a75daf85f03b1692c2a"
+    assert counters == "2ee009fc4d1a08b61903dd782983cc6f42480bdda98d80437cb26bcf7d322c46"
