@@ -23,7 +23,7 @@ from typing import Sequence
 from . import verify as verify_mod
 from .constructions import build_b_k, build_g_k, build_knn_minus_pm
 from .enumeration import MAX_N, enumerate_connected_triangle_free
-from .formats import read_graphs, to_edge_list_text, to_graph6
+from .formats import MAX_EDGE_LIST_N, read_graphs, to_edge_list_text, to_graph6
 from .graph import Graph, GraphError, RootedGraph
 from .solver import max_induced_tree, max_induced_tree_through
 from .verify import EnumerationReport, tabulate
@@ -147,26 +147,33 @@ def _print_tabulate(rep: EnumerationReport) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    param = "m" if args.family == "knn-minus-pm" else "k"
+    value = getattr(args, param)
+    if value is None:
+        parser.error(f"--family {args.family} needs --{param}")
+    # refuse before building what the CLI could not read back; a non-positive
+    # index is left to the builder's own check
+    order = {
+        "gk": 1 + value * (value - 1) // 2,
+        "bk": (value + 1) ** 2 // 4,
+        "knn-minus-pm": 2 * value,
+    }[args.family]
+    if value > 0 and order > MAX_EDGE_LIST_N:
+        raise GraphError(
+            f"--family {args.family} --{param} {value} has {order} vertices, "
+            f"above the limit {MAX_EDGE_LIST_N}"
+        )
     root = None
     if args.family == "gk":
-        if args.k is None:
-            parser.error("--family gk needs --k")
-        rg = build_g_k(args.k)
+        rg = build_g_k(value)
         g, root = rg.graph, rg.root
     elif args.family == "bk":
-        if args.k is None:
-            parser.error("--family bk needs --k")
-        g = build_b_k(args.k)
+        g = build_b_k(value)
     else:
-        if args.m is None:
-            parser.error("--family knn-minus-pm needs --m")
-        g = build_knn_minus_pm(args.m)
+        g = build_knn_minus_pm(value)
     if args.json:
         out = {"family": args.family, "n": g.n, "graph6": to_graph6(g).decode("ascii")}
-        if args.family == "knn-minus-pm":
-            out["m"] = args.m
-        else:
-            out["k"] = args.k
+        out[param] = value
         if root is not None:
             out["root"] = root
         print(json.dumps(out, indent=2))

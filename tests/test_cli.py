@@ -8,7 +8,15 @@ from pathlib import Path
 import pytest
 
 import indtree.verify as verify_mod
-from indtree import Graph, canonical_form, from_graph6, to_edge_list_text, to_graph6
+from indtree import (
+    Graph,
+    build_b_k,
+    build_g_k,
+    canonical_form,
+    from_graph6,
+    to_edge_list_text,
+    to_graph6,
+)
 from indtree.cli import run
 from indtree.verify import EnumerationReport, FailureRecord, VerificationReport
 
@@ -63,6 +71,29 @@ def test_construct_missing_parameter():
     with pytest.raises(SystemExit) as exc:
         run(["construct", "--family", "gk"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "family, param, builder, at_limit",
+    [
+        # orders 1 + k(k-1)/2, floor((k+1)^2/4) and 2m against MAX_EDGE_LIST_N = 65,536
+        ("gk", "--k", "build_g_k", 362),  # 65,342; k = 363 gives 65,704
+        ("bk", "--k", "build_b_k", 511),  # 65,536
+        ("knn-minus-pm", "--m", "build_knn_minus_pm", 32768),  # 65,536
+    ],
+)
+def test_construct_refuses_orders_past_the_read_limit_before_building(
+    family, param, builder, at_limit, capsys, monkeypatch
+):
+    built = []
+    small = build_g_k(3) if family == "gk" else build_b_k(3)
+    monkeypatch.setattr(f"indtree.cli.{builder}", lambda value: built.append(value) or small)
+    assert run(["construct", "--family", family, param, str(at_limit)]) == 0
+    assert built == [at_limit]
+    capsys.readouterr()
+    assert run(["construct", "--family", family, param, str(at_limit + 1)]) == 2
+    assert built == [at_limit]
+    assert "above the limit 65536" in capsys.readouterr().err
 
 
 def test_solve_graph6_file(tmp_path, capsys):
