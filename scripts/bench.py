@@ -7,8 +7,9 @@ Measures two source trees: ``src/`` of git revision REV, extracted with
 Every run measures the same GROUPS: one enumeration walk
 ``enumerate_connected_triangle_free(n)`` for n = 7..10, then
 ``max_induced_tree`` once per graph plus ``max_induced_tree_through`` at every
-root over the n = 9 census, G_6 and K_{m,m} minus a perfect matching for
-m = 6..8. Each group runs in a fresh interpreter per tree; the trees alternate
+root over the n = 9 census, G_6, K_{m,m} minus a perfect matching for
+m = 6..8 and the 2 x 16 ladder (rails 0..15 and 16..31, rung i joining i and
+16 + i). Each group runs in a fresh interpreter per tree; the trees alternate
 group by group, and so does which tree runs first, so a change in host load
 falls on both.
 
@@ -20,7 +21,8 @@ then runs the work REPEATS more times unwrapped for the wall time. Every row
 records the same fields: the canon calls, the solver calls, search nodes and
 prunings of each kind (rooted, unrooted), and a sha256 over the results, that
 is the emitted graph6 lines of a walk, or each solve's
-``repr((kind, size, witness, nodes, prunings))``. Counters and digests are
+``repr((kind, size, witness))``; the counters stay out of the digest, so a
+bound that prunes more keeps ``same_results``. Counters and digests are
 exact and machine-independent; the wall times are recorded with the host that
 produced them.
 """
@@ -48,6 +50,7 @@ ROOT = Path(__file__).resolve().parent.parent
 GROUPS = (
     "enumerate(7)", "enumerate(8)", "enumerate(9)", "enumerate(10)",
     "census(9)", "g_k(6)", "knn_minus_pm(6)", "knn_minus_pm(7)", "knn_minus_pm(8)",
+    "ladder(16)",
 )
 REPEATS = 9
 # (module, function) pairs; each is wrapped where it is looked up at call time
@@ -69,6 +72,14 @@ def solve_all(gs: list) -> list:
     return results
 
 
+def ladder(k: int):
+    """The 2 x k ladder: rails 0..k-1 and k..2k-1, rung i joins i and k + i."""
+    from indtree import Graph
+
+    rails = [(i, i + 1) for i in range(k - 1)] + [(k + i, k + i + 1) for i in range(k - 1)]
+    return Graph.from_edge_list(2 * k, rails + [(i, k + i) for i in range(k)])
+
+
 def measure(group: str) -> dict:
     """Untimed build, one counted run and REPEATS timed runs of one group in this interpreter."""
     import indtree
@@ -85,6 +96,8 @@ def measure(group: str) -> dict:
             gs = list(indtree.enumerate_connected_triangle_free(n))
         elif name == "g_k":
             gs = [indtree.build_g_k(n).graph]
+        elif name == "ladder":
+            gs = [ladder(n)]
         else:
             gs = [indtree.build_knn_minus_pm(n)]
 
@@ -123,7 +136,7 @@ def measure(group: str) -> dict:
         solver[kind]["calls"] += 1
         solver[kind]["nodes"] += r.stats.nodes
         solver[kind]["prunings"] += r.stats.prunings
-        digest.update(repr((kind, r.size, r.witness, r.stats.nodes, r.stats.prunings)).encode())
+        digest.update(repr((kind, r.size, r.witness)).encode())
     seconds = []
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -206,8 +219,8 @@ def main() -> None:
         "what": "per group: one enumerate_connected_triangle_free(n) walk, or max_induced_tree "
         "once per graph and max_induced_tree_through at every root; canon calls made from "
         "indtree.enumeration, canon._search and canon._refine calls, solver calls, search nodes "
-        "and prunings of each kind, and sha256 over the results (exact); wall seconds of "
-        "REPEATS more runs of the same work",
+        "and prunings of each kind, and sha256 over the results, the counters left out (exact); "
+        "wall seconds of REPEATS more runs of the same work",
         "host": host(),
         "repeats": REPEATS,
         "same_results": all(b["results_sha256"] == a["results_sha256"] for b, a in zip(before, after)),
