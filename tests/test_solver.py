@@ -219,9 +219,8 @@ def ladder(k):
 
 @pytest.mark.parametrize("k, size, node_cap", [(24, 36, 180), (200, 300, 7500)])
 def test_ladder_rooted_at_a_corner_takes_few_nodes(k, size, node_cap):
-    # every rung closes a cycle; without the cycle-rank bound the search
-    # grows about 8x per four rungs (765,261 nodes at k = 24), with it
-    # 159 and 7,199 nodes
+    # every rung closes a cycle that the tree must break, which the bound
+    # counts; the caps sit a little above the 159 and 7,199 nodes measured
     r = max_induced_tree_through(RootedGraph(ladder(k), k))
     assert r.size == size
     assert r.stats.nodes <= node_cap
