@@ -16,10 +16,9 @@ the labeling, since a skipped branch is the image of an explored one.
 Cells keep their order through every split, and the first split orders them
 by degree, so an uncolored graph's last canonical vertex has the largest
 degree and lies in the last cell of ``equitable_partition``, the refinement
-the search starts below. Each cell is a union of automorphism orbits, and
-coloring the vertices by their cells' indices gives the same labeling and
-the same stored automorphisms. Enumeration relies on these facts to decide
-most candidates without a search, and to search the rest from their cells.
+the search starts below. Each cell is a union of automorphism orbits.
+Enumeration relies on these facts to decide most candidates without a
+search.
 """
 
 from __future__ import annotations
@@ -57,9 +56,7 @@ def equitable_partition(g: Graph) -> list[int]:
     first and searches below.
 
     The last cell holds the vertex that the labeling puts last, and each
-    cell is a union of automorphism orbits. Coloring each vertex by the
-    index of its cell leaves the labeling and the stored automorphisms as
-    they are without colors, and the search then starts from these cells.
+    cell is a union of automorphism orbits.
     """
     if g.n == 0:
         return []
@@ -77,10 +74,7 @@ def canonical_labeling(
     largest degree in ``g`` and lies in the last cell of
     ``equitable_partition(g)``: the first refinement orders the cells by
     degree, smallest first, and every later split, by refinement or by
-    individualization, replaces a cell by its pieces in place. Colors that
-    give each vertex the index of its cell in that partition leave the
-    labeling and the automorphisms unchanged, since the search then starts
-    from the partition it would have refined to.
+    individualization, replaces a cell by its pieces in place.
     """
     n = g.n
     color_tuple: tuple[int, ...] | None = None

@@ -23,7 +23,7 @@ As in McKay's generator and geng, cheap invariants decide first: the last
 cell of a candidate's equitable partition holds the last canonical vertex
 and is a union of orbits. A new vertex outside it is rejected, and at the
 last level a new vertex that is the whole cell is accepted. Only the other
-candidates are labeled, by a search that starts from that partition.
+candidates are labeled.
 
 Orders 1..MAX_N are accepted. A default budget is the caller's: the n = 11
 walk takes about 17 s, and the CLI asks for a flag before it starts n = 12.
@@ -91,9 +91,7 @@ def _children(
     refined once. The last cell holds the last canonical vertex and is a
     union of orbits, so a new vertex outside it is rejected. If ``leaves``
     is set and the cell is the new vertex alone, the child is accepted and
-    yielded with ``()``. Otherwise the child is labeled with its cells as
-    colors, which gives the labeling and automorphisms of the uncolored
-    search without a second refinement from the unit partition.
+    yielded with ``()``. Otherwise the child is labeled.
     """
     m = g.n
     new = m
@@ -117,11 +115,7 @@ def _children(
         if leaves and cells[-1] == 1 << new:
             yield child, ()  # new is put last
             continue
-        colors = [0] * (m + 1)
-        for i, c in enumerate(cells):
-            for v in bits(c):
-                colors[v] = i
-        form, perm = canonical_labeling(child, colors)
+        form, perm = canonical_labeling(child)
         last = perm.index(m)  # vertex in the final canonical position
         if _accept(new, last, form.automorphisms):
             yield child, form.automorphisms

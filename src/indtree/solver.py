@@ -44,7 +44,8 @@ def _search(
 
     Returns its size, its vertex set and the search counters. With
     ``stop_at`` the search ends at the first tree of that size, and only
-    trees of that size or larger are searched for.
+    trees of that size or larger are searched for; if there is none, the
+    size is 0 and the set empty.
 
     Depth-first over nodes (chosen, undecided, near, size), so the depth is
     not bounded by Python's recursion limit. ``chosen`` is a connected
@@ -60,7 +61,8 @@ def _search(
     nodes are visited in depth-first order, include child first.
 
     A node is pruned unless its bound passes ``bar``, the best size so far
-    (or ``stop_at - 1``). Any tree the node can still grow into lies in
+    (``stop_at - 1`` under ``stop_at``, where the first tree that passes it
+    ends the search). Any tree the node can still grow into lies in
     H = G[chosen + R], where the reach R holds the undecided vertices
     reachable from chosen through undecided ones; H is connected. Each
     frontier vertex has exactly one chosen neighbour and every undecided
@@ -92,11 +94,10 @@ def _search(
     ``exists_induced_tree_through`` discards them.
     """
     adj = g.adj
-    best_size = 0
     best_set = 0
     nodes = 0
     prunings = 0
-    # max(best_size, stop_at - 1): a node is searched only if its bound passes bar
+    # the best size so far, or stop_at - 1: a node is searched only if its bound passes bar
     bar = 0 if stop_at is None else stop_at - 1
     stack = []
     chosen = 1 << root
@@ -105,12 +106,10 @@ def _search(
     size = 1
     while True:
         nodes += 1
-        if size > best_size:
-            best_size = size
+        if size > bar:
+            bar = size
             best_set = chosen
-            if size > bar:
-                bar = size
-            if stop_at is not None and size >= stop_at:
+            if stop_at is not None:
                 break
         # upper bound: size plus the reach R, the undecided vertices reachable
         # from chosen through undecided ones, less ceil(mu / (top - 1)) of
@@ -180,7 +179,7 @@ def _search(
         if not stack:
             break
         chosen, undecided, near, size = stack.pop()
-    return best_size, best_set, SearchStats(nodes, prunings)
+    return best_set.bit_count(), best_set, SearchStats(nodes, prunings)
 
 
 def max_induced_tree_through(rg: RootedGraph) -> TreeSearchResult:
@@ -226,10 +225,6 @@ def exists_induced_tree_through(rg: RootedGraph, target: int) -> bool:
     """
     if target < 1:
         raise GraphError(f"target must be >= 1, got {target}")
-    if target > rg.graph.n:
-        return False
-    if target == 1:
-        return True
     size, witness, stats = _search(rg.graph, rg.root, stop_at=target)
     if size < target:
         return False

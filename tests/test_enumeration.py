@@ -260,7 +260,7 @@ def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
         candidates.append(child)  # keeps every child alive, so ids stay distinct
         return partition(child)
 
-    def labeling(child, colors):
+    def labeling(child, colors=None):
         form, perm = label(child, colors)
         orbit = _orbit(1 << (child.n - 1), form.automorphisms)
         orbits[id(child)] = [mask.bit_length() - 1 for mask in orbit]

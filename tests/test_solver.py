@@ -144,6 +144,21 @@ def test_exists_agrees_with_sizes():
         assert not exists_induced_tree_through(rg, t + 1)
 
 
+def test_stop_at_returns_nothing_on_a_miss():
+    # under stop_at only trees of that size count: a miss returns size 0 and
+    # the empty set, a hit the first tree of that size through the root
+    rng = random.Random(16)
+    for _ in range(100):
+        n = rng.randrange(1, 11)
+        g = random_graph(rng, n, 0.4)
+        v = rng.randrange(n)
+        t = brute_force_t(g, v).size
+        assert _search(g, v, stop_at=t + 1)[:2] == (0, 0)
+        size, witness, _ = _search(g, v, stop_at=t)
+        assert size == witness.bit_count() == t
+        assert is_induced_tree(g, witness) and witness >> v & 1
+
+
 def test_deterministic():
     g = Graph.from_edge_list(
         8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 0), (1, 5)]
