@@ -9,22 +9,25 @@ Every run measures the same GROUPS: one enumeration walk
 ``max_induced_tree`` once per graph plus ``max_induced_tree_through`` at every
 root over the n = 9 census, G_6, K_{m,m} minus a perfect matching for
 m = 6..8 and the 2 x 16 ladder (rails 0..15 and 16..31, rung i joining i and
-16 + i). Each group runs in a fresh interpreter per tree; the trees alternate
-group by group, and so does which tree runs first, so a change in host load
-falls on both.
+16 + i). Each group runs REPEATS times in a fresh interpreter per tree and
+repeat; the trees alternate repeat by repeat, and which tree runs first
+alternates from group to group too, so a change in host load falls on both.
 
-The interpreter builds the group's input untimed, runs its work once with call
-counters wrapped around the canon functions that ``indtree.enumeration`` calls
-(``equitable_partition``, ``canonical_labeling``), around ``canon._search`` and
-around ``canon._refine`` (a function that a tree lacks counts as 0 calls), and
-then runs the work REPEATS more times unwrapped for the wall time. Every row
-records the same fields: the canon calls, the solver calls, search nodes and
-prunings of each kind (rooted, unrooted), and a sha256 over the results, that
-is the emitted graph6 lines of a walk, or each solve's
+Each interpreter builds the group's input untimed, runs its work once with
+call counters wrapped around the canon functions that ``indtree.enumeration``
+calls (``equitable_partition``, ``canonical_labeling``), around
+``canon._search`` and around ``canon._refine`` (a function that a tree lacks
+counts as 0 calls), and then runs the work once more unwrapped for the wall
+time. Every row records the same fields: the canon calls, the solver calls,
+search nodes and prunings of each kind (rooted, unrooted), and a sha256 over
+the results, that is the emitted graph6 lines of a walk, or each solve's
 ``repr((kind, size, witness))``; the counters stay out of the digest, so a
 bound that prunes more keeps ``same_results``. Counters and digests are
-exact and machine-independent; the wall times are recorded with the host that
-produced them.
+exact and machine-independent, so a tree's REPEATS rows of a group must
+agree on them, and the script exits non-zero, naming the group, when they do
+not; the artifact keeps one row per tree and group, with the wall times of
+all its repeats. The wall times are recorded with the host that produced
+them.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ GROUPS = (
     "ladder(16)",
 )
 REPEATS = 9
+# the row fields that every repeat of a group on one tree must reproduce
+EXACT = ("graphs", "canon", "rooted", "unrooted", "results_sha256")
 # (module, function) pairs; each is wrapped where it is looked up at call time
 CANON = (
     ("enumeration", "equitable_partition"),
@@ -81,7 +86,7 @@ def ladder(k: int):
 
 
 def measure(group: str) -> dict:
-    """Untimed build, one counted run and REPEATS timed runs of one group in this interpreter."""
+    """Untimed build, one counted run and one timed run of one group in this interpreter."""
     import indtree
 
     name, n = group[:-1].split("(")
@@ -137,11 +142,9 @@ def measure(group: str) -> dict:
         solver[kind]["nodes"] += r.stats.nodes
         solver[kind]["prunings"] += r.stats.prunings
         digest.update(repr((kind, r.size, r.witness)).encode())
-    seconds = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        work()
-        seconds.append(round(time.perf_counter() - start, 4))
+    start = time.perf_counter()
+    work()
+    seconds = [round(time.perf_counter() - start, 4)]
     return {
         "group": group,
         "graphs": len(results) if name == "enumerate" else len(gs),
@@ -194,6 +197,16 @@ def run(src: Path, group: str) -> dict:
     return json.loads(out)
 
 
+def merge(group: str, tree: str, rows: list[dict]) -> dict:
+    """One row for a tree's repeats of ``group``, holding every repeat's wall
+    time; exits if the repeats differ in an EXACT field."""
+    differ = [k for k in EXACT if any(row[k] != rows[0][k] for row in rows)]
+    if differ:
+        sys.exit(f"{group}: the repeats on {tree} differ in {', '.join(differ)}")
+    seconds = [s for row in rows for s in row["wall_s"]]
+    return {**rows[0], "wall_s": seconds, "wall_s_median": statistics.median(seconds)}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--base", help="git revision to compare against")
@@ -209,18 +222,19 @@ def main() -> None:
     after = []
     with revision_src(args.base) as (rev, src):
         for i, group in enumerate(GROUPS):
-            if i % 2:
-                after.append(run(ROOT / "src", group))
-                before.append(run(src, group))
-            else:
-                before.append(run(src, group))
-                after.append(run(ROOT / "src", group))
+            rows: dict[Path, list[dict]] = {src: [], ROOT / "src": []}
+            trees = list(rows)
+            for r in range(REPEATS):
+                for tree in trees[::-1] if (i + r) % 2 else trees:
+                    rows[tree].append(run(tree, group))
+            before.append(merge(group, rev, rows[src]))
+            after.append(merge(group, "the working tree", rows[ROOT / "src"]))
     report = {
         "what": "per group: one enumerate_connected_triangle_free(n) walk, or max_induced_tree "
         "once per graph and max_induced_tree_through at every root; canon calls made from "
         "indtree.enumeration, canon._search and canon._refine calls, solver calls, search nodes "
         "and prunings of each kind, and sha256 over the results, the counters left out (exact); "
-        "wall seconds of REPEATS more runs of the same work",
+        "wall seconds of one more run of the same work in each of REPEATS fresh interpreters",
         "host": host(),
         "repeats": REPEATS,
         "same_results": all(b["results_sha256"] == a["results_sha256"] for b, a in zip(before, after)),

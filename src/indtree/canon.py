@@ -1,10 +1,10 @@
 """Canonical labeling via partition refinement and individualization.
 
-The canonical form of a (optionally vertex-colored) graph is the
-lexicographically minimal row-major upper-triangle bit string of the
-adjacency matrix, minimized over all labelings that respect the equitable
-refinement of the color partition. Two graphs get equal forms exactly when
-they are (color-preserving) isomorphic.
+The canonical form of a (optionally rooted) graph is the lexicographically
+minimal row-major upper-triangle bit string of the adjacency matrix,
+minimized over all labelings that respect the equitable refinement of the
+unit partition, or of the partition that puts the root alone. Two graphs
+get equal forms exactly when they are (root-preserving) isomorphic.
 
 The backtracking search individualizes one vertex of the first non-singleton
 cell at a time. Automorphisms discovered when two leaves tie on the minimal
@@ -14,7 +14,7 @@ leaves' common ancestor, as in nauty. This keeps highly symmetric inputs
 the labeling, since a skipped branch is the image of an explored one.
 
 Cells keep their order through every split, and the first split orders them
-by degree, so an uncolored graph's last canonical vertex has the largest
+by degree, so an unrooted graph's last canonical vertex has the largest
 degree and lies in the last cell of ``equitable_partition``, the refinement
 the search starts below. Each cell is a union of automorphism orbits.
 Enumeration relies on these facts to decide most candidates without a
@@ -24,7 +24,6 @@ search.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .graph import Graph, GraphError, RootedGraph, bits
 
@@ -33,20 +32,20 @@ from .graph import Graph, GraphError, RootedGraph, bits
 class CanonicalForm:
     """Isomorphism-class certificate: equal ``data`` iff isomorphic.
 
-    ``data`` embeds the vertex count and the color multiset, so forms of
-    different sizes or colorings never collide. ``automorphisms`` holds
-    non-identity automorphisms of the input that the labeling search met
-    (``phi[v]`` is the image of ``v``); they generate the whole
-    color-preserving automorphism group and do not participate in equality.
+    ``data`` embeds the vertex count and a root flag, so forms of different
+    sizes, or a rooted and an unrooted form, never collide. ``automorphisms``
+    holds non-identity automorphisms of the input that the labeling search
+    met (``phi[v]`` is the image of ``v``); they generate the whole
+    root-fixing automorphism group and do not participate in equality.
     """
 
     data: bytes
     automorphisms: tuple[tuple[int, ...], ...] = field(default=(), compare=False)
 
 
-def canonical_form(g: Graph, colors: Sequence[int] | None = None) -> CanonicalForm:
-    """Canonical form of ``g``; ``colors`` assigns one int per vertex."""
-    form, _ = canonical_labeling(g, colors)
+def canonical_form(g: Graph, root: int | None = None) -> CanonicalForm:
+    """Canonical form of ``g``, rooted at ``root`` when one is given."""
+    form, _ = canonical_labeling(g, root)
     return form
 
 
@@ -64,73 +63,42 @@ def equitable_partition(g: Graph) -> list[int]:
 
 
 def canonical_labeling(
-    g: Graph, colors: Sequence[int] | None = None
+    g: Graph, root: int | None = None
 ) -> tuple[CanonicalForm, tuple[int, ...]]:
     """Canonical form plus one labeling achieving it.
 
     The labeling maps each original vertex to its canonical position; any
     relabeled copy of ``g`` yields the same form and an equivalent labeling.
-    Without ``colors``, the vertex put in the final position, n - 1, has the
-    largest degree in ``g`` and lies in the last cell of
-    ``equitable_partition(g)``: the first refinement orders the cells by
-    degree, smallest first, and every later split, by refinement or by
-    individualization, replaces a cell by its pieces in place.
+    A ``root`` is individualized before the search, so the form and the
+    automorphisms are those of ``g`` rooted there. Without a root, the
+    vertex put in the final position, n - 1, has the largest degree in ``g``
+    and lies in the last cell of ``equitable_partition(g)``: the first
+    refinement orders the cells by degree, smallest first, and every later
+    split, by refinement or by individualization, replaces a cell by its
+    pieces in place.
     """
     n = g.n
-    color_tuple: tuple[int, ...] | None = None
-    if colors is not None:
-        color_tuple = tuple(colors)
-        if len(color_tuple) != n:
-            raise GraphError(f"expected {n} colors, got {len(color_tuple)}")
-    if n == 0:
-        return CanonicalForm(_pack(0, color_tuple, 0)), ()
-
-    if color_tuple is None:
-        cells = [(1 << n) - 1]
+    full = (1 << n) - 1
+    if root is None:
+        cells = [full]
+    elif isinstance(root, int) and 0 <= root < n:
+        cells = [c for c in (full ^ 1 << root, 1 << root) if c]
     else:
-        cells = [
-            _mask_where(color_tuple, c) for c in sorted(set(color_tuple))
-        ]
+        raise GraphError(f"root {root} outside 0..{n - 1}")
+    if n == 0:
+        return CanonicalForm(_pack(0, False, 0)), ()
     code, perm, autos = _search(g.adj, n, cells)
-    return CanonicalForm(_pack(n, color_tuple, code), autos), perm
+    return CanonicalForm(_pack(n, root is not None, code), autos), perm
 
 
 def are_rooted_isomorphic(a: RootedGraph, b: RootedGraph) -> bool:
-    """True iff some isomorphism maps ``a.root`` to ``b.root``.
-
-    Implemented by giving the root a unique color and comparing canonical
-    forms.
-    """
-    if a.graph.n != b.graph.n:
-        return False
-    ca = canonical_form(a.graph, _root_colors(a.graph.n, a.root))
-    cb = canonical_form(b.graph, _root_colors(b.graph.n, b.root))
-    return ca.data == cb.data
+    """True iff some isomorphism maps ``a.root`` to ``b.root``."""
+    return canonical_form(a.graph, a.root) == canonical_form(b.graph, b.root)
 
 
-def _root_colors(n: int, root: int) -> tuple[int, ...]:
-    return tuple(1 if v == root else 0 for v in range(n))
-
-
-def _mask_where(colors: tuple[int, ...], value: int) -> int:
-    m = 0
-    for v, c in enumerate(colors):
-        if c == value:
-            m |= 1 << v
-    return m
-
-
-def _pack(n: int, colors: tuple[int, ...] | None, code: int) -> bytes:
-    head = n.to_bytes(4, "big")
-    if colors is None:
-        head += b"\x00"
-    else:
-        head += b"\x01"
-        head += b"".join(
-            c.to_bytes(8, "big", signed=True) for c in sorted(colors)
-        )
+def _pack(n: int, rooted: bool, code: int) -> bytes:
     nbits = n * (n - 1) // 2
-    return head + code.to_bytes((nbits + 7) // 8 or 1, "big")
+    return n.to_bytes(4, "big") + bytes((rooted,)) + code.to_bytes((nbits + 7) // 8 or 1, "big")
 
 
 def _refine(
@@ -218,7 +186,7 @@ def _search(
     adj: tuple[int, ...], n: int, init_cells: list[int]
 ) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Minimal encoding, a labeling achieving it and automorphisms that
-    generate the color-preserving automorphism group Aut.
+    generate the root-fixing automorphism group Aut.
 
     A leaf that ties with the best leaf differs from it by an automorphism,
     which maps each vertex of the one to the vertex at the same position in

@@ -1,8 +1,11 @@
-"""The per-group measurement of ``scripts/bench.py``, run in this interpreter."""
+"""The per-group measurement of ``scripts/bench.py``, run in this interpreter,
+and the merge of one tree's repeats."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 from indtree import canon, enumeration
 
@@ -36,7 +39,7 @@ def test_group_rows_count_both_layers_and_repeat():
     assert set(solves["canon"].values()) == {0}
 
     for row in (walk, solves):
-        assert len(row["wall_s"]) == bench.REPEATS
+        assert len(row["wall_s"]) == 1
         again = bench.measure(row["group"])
         assert again["results_sha256"] == row["results_sha256"]
         assert {k: again[k] for k in ("canon", "rooted", "unrooted")} == {
@@ -47,3 +50,15 @@ def test_group_rows_count_both_layers_and_repeat():
         enumeration.equitable_partition, enumeration.canonical_labeling, canon._search, canon._refine,
     ]
     assert restored == originals
+
+
+def test_repeats_merge_wall_times_and_must_agree():
+    bench = load_bench()
+    row = {"group": "g", "graphs": 1, "canon": {}, "rooted": {}, "unrooted": {}, "results_sha256": "a"}
+    rows = [{**row, "wall_s": [t], "wall_s_median": t} for t in (0.3, 0.1, 0.2)]
+    merged = bench.merge("g", "tree", rows)
+    assert merged["wall_s"] == [0.3, 0.1, 0.2] and merged["wall_s_median"] == 0.2
+    assert {k: merged[k] for k in bench.EXACT} == {k: row[k] for k in bench.EXACT}
+    rows[2] = {**rows[2], "graphs": 2}
+    with pytest.raises(SystemExit, match="g: the repeats on tree differ in graphs"):
+        bench.merge("g", "tree", rows)

@@ -181,27 +181,24 @@ def test_sizes_never_collide():
     ).data
 
 
-def test_colors_refine_classes():
+def test_root_refines_classes():
     p3 = Graph.from_edge_list(3, [(0, 1), (1, 2)])
-    uncolored = canonical_form(p3)
-    center = canonical_form(p3, (0, 1, 0))
-    leaf = canonical_form(p3, (1, 0, 0))
-    other_leaf = canonical_form(p3, (0, 0, 1))
+    unrooted = canonical_form(p3)
+    center = canonical_form(p3, 1)
+    leaf = canonical_form(p3, 0)
+    other_leaf = canonical_form(p3, 2)
     assert center.data != leaf.data
     assert leaf.data == other_leaf.data
-    assert uncolored.data != center.data  # color multiset is part of the form
-    with pytest.raises(GraphError):
-        canonical_form(p3, (0, 1))
+    assert unrooted.data not in (center.data, leaf.data)  # the root flag is part of the form
+    for root in (-1, 3, 1.5):
+        with pytest.raises(GraphError):
+            canonical_form(p3, root)
 
 
-def test_color_values_matter_only_by_order():
-    p3 = Graph.from_edge_list(3, [(0, 1), (1, 2)])
-    assert canonical_form(p3, (0, 5, 0)).data != canonical_form(p3, (0, 1, 0)).data
-    # same partition, same relative order of color values
+def test_rooted_form_follows_relabeling():
     c4 = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    assert canonical_form(c4, (2, 7, 2, 7)).data == canonical_form(
-        relabel(c4, [1, 2, 3, 0]), (7, 2, 7, 2)
-    ).data
+    perm = [1, 2, 3, 0]
+    assert canonical_form(c4, 0).data == canonical_form(relabel(c4, perm), perm[0]).data
 
 
 def test_rooted_isomorphism():
@@ -229,11 +226,11 @@ def test_rooted_isomorphism_respects_structure_not_labels():
         assert are_rooted_isomorphic(RootedGraph(g, v), RootedGraph(h, perm[v]))
 
 
-def test_form_equality_ignores_color_payload():
-    # equal data means equal forms even though color tuples differ
+def test_form_equality_ignores_automorphisms():
+    # equal data means equal forms even though the stored maps differ
     p3 = Graph.from_edge_list(3, [(0, 1), (1, 2)])
-    a = canonical_form(p3, (1, 0, 0))
-    b = canonical_form(p3, (0, 0, 1))
+    a = canonical_form(p3, 0)
+    b = canonical_form(p3, 2)
     assert a == b
 
 
@@ -320,11 +317,10 @@ def test_last_canonical_vertex_has_largest_degree():
             assert h.degree(perm.index(n - 1)) == top
 
 
-def test_coloring_by_the_equitable_partition_keeps_the_labeling():
-    # enumeration decides a candidate from its equitable partition and, when
-    # that cannot decide, labels it with the cells as colors: the last cell
-    # must hold the last canonical vertex and be a union of orbits, and the
-    # colors must leave the labeling and the stored automorphisms unchanged
+def test_equitable_partition_holds_the_last_vertex_and_orbits():
+    # enumeration decides a candidate from its equitable partition before it
+    # labels it: the cells must cover V, the last cell must hold the last
+    # canonical vertex, and every cell must be a union of orbits
     assert equitable_partition(Graph.from_edge_list(0, [])) == []
     rng = random.Random(13)
     for _ in range(1000):
@@ -332,32 +328,29 @@ def test_coloring_by_the_equitable_partition_keeps_the_labeling():
         g = random_graph(rng, n, rng.random())
         cells = equitable_partition(g)
         assert sum(cells) == (1 << n) - 1 and sum(c.bit_count() for c in cells) == n
-        colors = [0] * n
-        for i, c in enumerate(cells):
-            for v in bits(c):
-                colors[v] = i
         form, perm = canonical_labeling(g)
-        colored, colored_perm = canonical_labeling(g, colors)
-        assert colored_perm == perm
-        assert colored.automorphisms == form.automorphisms
         assert cells[-1] >> perm.index(n - 1) & 1
         for a in form.automorphisms:
             assert all(sum(1 << a[v] for v in bits(c)) == c for c in cells)
 
 
 def test_labelings_are_pinned():
-    # sha256 over (form, labeling) of a seeded corpus, colored and plain:
-    # enumeration accepts a child by the vertex its labeling puts last, so a
-    # change to the labeling, not only to the form, changes what it emits
+    # sha256 over the labelings of a seeded corpus, rooted and plain, and
+    # over the forms of the plain ones: enumeration accepts a child by the
+    # vertex its labeling puts last, so a change to the labeling, not only
+    # to the form, changes what it emits
     rng = random.Random(12)
     h = hashlib.sha256()
     for _ in range(3000):
-        n = rng.randint(0, 11)
+        n = rng.randint(1, 11)
         g = random_graph(rng, n, rng.random())
-        colors = None if rng.random() < 0.5 else [rng.randrange(3) for _ in range(n)]
-        form, perm = canonical_labeling(g, colors)
-        h.update(form.data + bytes(perm))
-    assert h.hexdigest() == "f31db1ed146c8a44b859382a412a300d93a1716051c917af60c4e63de1e8b921"
+        if rng.random() < 0.5:
+            form, perm = canonical_labeling(g)
+            h.update(form.data + bytes(perm))
+        else:
+            _, perm = canonical_labeling(g, rng.randrange(n))
+            h.update(bytes(perm))
+    assert h.hexdigest() == "2a87474bfec63e965e145b374ebb47a11b12692239340e23f18fe77dc2b225ab"
 
 
 @st.composite
@@ -399,26 +392,25 @@ def test_forms_agree_with_networkx_isomorphism(case):
 
 
 @st.composite
-def colored_graphs(draw, max_n=9):
-    """A graph on 0..max_n vertices, uncolored half the time, else with up to
-    three colors."""
+def rooted_graphs(draw, max_n=9):
+    """A graph on 0..max_n vertices, unrooted half the time, else with a root."""
     n = draw(st.integers(0, max_n))
     pairs = list(itertools.combinations(range(n), 2))
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    colors = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    return Graph.from_edge_list(n, edges), colors
+    root = draw(st.none() | st.integers(0, n - 1)) if n else None
+    return Graph.from_edge_list(n, edges), root
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(colored_graphs())
+@given(rooted_graphs())
 def test_stored_automorphisms_are_automorphisms(case):
-    g, colors = case
+    g, root = case
     edges = set(g.edges())
-    for phi in canonical_labeling(g, colors)[0].automorphisms:
+    for phi in canonical_labeling(g, root)[0].automorphisms:
         assert sorted(phi) == list(range(g.n)) and list(phi) != list(range(g.n))
         assert {tuple(sorted((phi[u], phi[v]))) for u, v in edges} == edges
-        if colors is not None:
-            assert [colors[phi[v]] for v in range(g.n)] == colors
+        if root is not None:
+            assert phi[root] == root
 
 
 def generated_group(n, gens):
@@ -435,11 +427,11 @@ def generated_group(n, gens):
     return group
 
 
-def scanned_automorphisms(g, colors):
-    """Every color-preserving automorphism of g, by scanning all n! maps."""
+def scanned_automorphisms(g, root):
+    """Every root-fixing automorphism of g, by scanning all n! maps."""
     found = set()
     for p in itertools.permutations(range(g.n)):
-        if colors is not None and any(colors[p[v]] != colors[v] for v in range(g.n)):
+        if root is not None and p[root] != root:
             continue
         if all(sum(1 << p[w] for w in bits(g.adj[v])) == g.adj[p[v]] for v in range(g.n)):
             found.add(p)
@@ -447,11 +439,11 @@ def scanned_automorphisms(g, colors):
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
-@given(colored_graphs(max_n=7))
+@given(rooted_graphs(max_n=7))
 def test_stored_automorphisms_generate_the_whole_group(case):
-    g, colors = case
-    autos = canonical_labeling(g, colors)[0].automorphisms
-    assert generated_group(g.n, autos) == scanned_automorphisms(g, colors)
+    g, root = case
+    autos = canonical_labeling(g, root)[0].automorphisms
+    assert generated_group(g.n, autos) == scanned_automorphisms(g, root)
 
 
 def test_symmetric_families_store_few_automorphisms():

@@ -245,7 +245,7 @@ def test_children_match_the_uncut_reference():
 
 def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
     # every candidate that reaches the equitable partition is accepted
-    # exactly when an isomorphism maps the new vertex to the one an uncolored
+    # exactly when an isomorphism maps the new vertex to the one an unrooted
     # labeling puts last; the partition and the search each accept and
     # reject, and every vertex the stored automorphisms put in the new
     # vertex's orbit is one that rooted canonical forms put there too
@@ -260,8 +260,8 @@ def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
         candidates.append(child)  # keeps every child alive, so ids stay distinct
         return partition(child)
 
-    def labeling(child, colors=None):
-        form, perm = label(child, colors)
+    def labeling(child):
+        form, perm = label(child)
         orbit = _orbit(1 << (child.n - 1), form.automorphisms)
         orbits[id(child)] = [mask.bit_length() - 1 for mask in orbit]
         return form, perm
