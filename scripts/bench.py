@@ -6,9 +6,10 @@ Measures two source trees: ``src/`` of git revision REV, extracted with
 ``git archive`` into a temporary directory, and ``src/`` of this checkout.
 Every run measures the same GROUPS: one enumeration walk
 ``enumerate_connected_triangle_free(n)`` for n = 7..10, then
-``max_induced_tree`` once per graph plus ``max_induced_tree_through`` at every
-root over the n = 9 census, G_6, K_{m,m} minus a perfect matching for
-m = 6..8 and the 2 x 16 ladder (rails 0..15 and 16..31, rung i joining i and
+``max_induced_tree`` once per graph plus ``max_induced_tree_through`` and the
+refutation ``exists_induced_tree_through(rg, t(G, v) + 1)`` at every root over
+the n = 9 census, G_6, K_{m,m} minus a perfect matching for m = 6..8 and the
+2 x 16 ladder (rails 0..15 and 16..31, rung i joining i and
 16 + i). Each group runs REPEATS times in a fresh interpreter per tree and
 repeat; the trees alternate repeat by repeat, and which tree runs first
 alternates from group to group too, so a change in host load falls on both.
@@ -17,11 +18,14 @@ Each interpreter builds the group's input untimed, runs its work once with
 call counters wrapped around the canon functions that ``indtree.enumeration``
 calls (``equitable_partition``, ``canonical_labeling``), around
 ``canon._search`` and around ``canon._refine`` (a function that a tree lacks
-counts as 0 calls), and then runs the work once more unwrapped for the wall
-time. Every row records the same fields: the canon calls, the solver calls,
-search nodes and prunings of each kind (rooted, unrooted), and a sha256 over
-the results, that is the emitted graph6 lines of a walk, or each solve's
-``repr((kind, size, witness))``; the counters stay out of the digest, so a
+counts as 0 calls), and a counter around ``solver._search`` that adds up the
+searches run with ``stop_at``, which only ``exists_induced_tree_through``
+runs; it then runs the work once more unwrapped for the wall time. Every row
+records the same fields: the canon calls, the solver calls, search nodes and
+prunings of each kind (rooted, unrooted, refuted), and a sha256 over the
+results, that is the emitted graph6 lines of a walk, or each solve's
+``repr((kind, size, witness))`` and each refutation's
+``repr(("refuted", answer))``; the counters stay out of the digest, so a
 bound that prunes more keeps ``same_results``. Counters and digests are
 exact and machine-independent, so a tree's REPEATS rows of a group must
 agree on them, and the script exits non-zero, naming the group, when they do
@@ -57,7 +61,8 @@ GROUPS = (
 )
 REPEATS = 9
 # the row fields that every repeat of a group on one tree must reproduce
-EXACT = ("graphs", "canon", "rooted", "unrooted", "results_sha256")
+EXACT = ("graphs", "canon", "rooted", "unrooted", "refuted", "results_sha256")
+KINDS = ("rooted", "unrooted", "refuted")
 # (module, function) pairs; each is wrapped where it is looked up at call time
 CANON = (
     ("enumeration", "equitable_partition"),
@@ -68,12 +73,19 @@ CANON = (
 
 
 def solve_all(gs: list) -> list:
-    from indtree import RootedGraph, max_induced_tree, max_induced_tree_through
+    """Per graph: t(G), then per root t(G, v) and the answer of the refutation
+    at t(G, v) + 1 (a bool)."""
+    from indtree import (
+        RootedGraph, exists_induced_tree_through, max_induced_tree, max_induced_tree_through,
+    )
 
     results = []
     for g in gs:
         results.append(max_induced_tree(g))
-        results.extend(max_induced_tree_through(RootedGraph(g, v)) for v in range(g.n))
+        for v in range(g.n):
+            rg = RootedGraph(g, v)
+            r = max_induced_tree_through(rg)
+            results += [r, exists_induced_tree_through(rg, r.size + 1)]
     return results
 
 
@@ -118,24 +130,43 @@ def measure(group: str) -> dict:
 
         return wrapper
 
+    solver = {kind: {"calls": 0, "nodes": 0, "prunings": 0} for kind in KINDS}
+
+    def refuting(fn):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if kwargs.get("stop_at") is not None:
+                solver["refuted"]["calls"] += 1
+                solver["refuted"]["nodes"] += out[2].nodes
+                solver["refuted"]["prunings"] += out[2].prunings
+            return out
+
+        return wrapper
+
     originals = []
     for module_name, fn_name in CANON:
         module = importlib.import_module(f"indtree.{module_name}")
         if hasattr(module, fn_name):
             originals.append((module, fn_name, getattr(module, fn_name)))
+    solver_module = importlib.import_module("indtree.solver")
+    search = solver_module._search
     for module, fn_name, fn in originals:
         setattr(module, fn_name, counting(fn_name, fn))
+    solver_module._search = refuting(search)
     try:
         results = work()
     finally:
         for module, fn_name, fn in originals:
             setattr(module, fn_name, fn)
+        solver_module._search = search
 
-    solver = {kind: {"calls": 0, "nodes": 0, "prunings": 0} for kind in ("rooted", "unrooted")}
     digest = hashlib.sha256()
     for r in results:
         if name == "enumerate":
             digest.update(indtree.to_graph6(r) + b"\n")
+            continue
+        if isinstance(r, bool):
+            digest.update(repr(("refuted", r)).encode())
             continue
         kind = "unrooted" if r.required_root is None else "rooted"
         solver[kind]["calls"] += 1
@@ -231,9 +262,10 @@ def main() -> None:
             after.append(merge(group, "the working tree", rows[ROOT / "src"]))
     report = {
         "what": "per group: one enumerate_connected_triangle_free(n) walk, or max_induced_tree "
-        "once per graph and max_induced_tree_through at every root; canon calls made from "
-        "indtree.enumeration, canon._search and canon._refine calls, solver calls, search nodes "
-        "and prunings of each kind, and sha256 over the results, the counters left out (exact); "
+        "once per graph and max_induced_tree_through and exists_induced_tree_through(rg, "
+        "t(G, v) + 1) at every root; canon calls made from indtree.enumeration, canon._search "
+        "and canon._refine calls, solver calls, search nodes and prunings of each kind (rooted, "
+        "unrooted, refuted), and sha256 over the results, the counters left out (exact); "
         "wall seconds of one more run of the same work in each of REPEATS fresh interpreters",
         "host": host(),
         "repeats": REPEATS,

@@ -34,7 +34,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from .canon import canonical_labeling, equitable_partition
-from .graph import Graph, GraphError, _component_of, bits
+from .graph import Graph, GraphError, _component_of
 
 MAX_N = 12
 
@@ -130,13 +130,18 @@ def _accept(new: int, last: int, autos: Automorphisms) -> bool:
 def _orbit(s: int, autos: Automorphisms) -> set[int]:
     """Orbit of the vertex set ``s`` under the group generated by ``autos``."""
     orbit = {s}
+    if not autos:
+        return orbit
     stack = [s]
     while stack:
         x = stack.pop()
         for phi in autos:
             y = 0
-            for v in bits(x):
-                y |= 1 << phi[v]
+            rest = x
+            while rest:
+                low = rest & -rest
+                y |= 1 << phi[low.bit_length() - 1]
+                rest ^= low
             if y not in orbit:
                 orbit.add(y)
                 stack.append(y)

@@ -38,52 +38,79 @@ class TreeSearchResult:
 
 
 def _search(
-    g: Graph, root: int, forbidden: int = 0, stop_at: int | None = None
+    g: Graph,
+    root: int,
+    forbidden: int = 0,
+    stop_at: int | None = None,
+    floor: int = 0,
 ) -> tuple[int, int, SearchStats]:
     """Largest induced tree through ``root`` that avoids ``forbidden``.
 
-    Returns its size, its vertex set and the search counters. With
-    ``stop_at`` the search ends at the first tree of that size, and only
-    trees of that size or larger are searched for; if there is none, the
-    size is 0 and the set empty.
+    Returns its size, its vertex set and the search counters. Only trees
+    larger than ``floor`` are searched for; if there is none, the size is 0
+    and the set empty. With ``stop_at`` the floor is ``stop_at - 1`` and
+    the search ends at the first tree that passes it, which may be larger
+    than ``stop_at``.
 
     Depth-first over nodes (chosen, undecided, near, size), so the depth is
     not bounded by Python's recursion limit. ``chosen`` is a connected
     acyclic set of ``size`` vertices holding the root; ``undecided`` holds
     the vertices neither chosen nor ruled out; ``near`` is the union of the
-    chosen vertices' neighbourhoods. Every undecided vertex has at most one
-    chosen neighbour: adding ``pick`` rules out ``adj[pick] & near``, the
-    vertices it would give a second one, as they would close a cycle. The
-    frontier is then ``near & undecided``. A node branches on the frontier
-    vertex with the most undecided neighbours (the lowest index on ties).
-    It descends into the include child in place and pushes only the exclude
-    child on an explicit stack, which is popped when a node is pruned, so
-    nodes are visited in depth-first order, include child first.
+    chosen vertices' neighbourhoods, forced leaves (below) left out. Every
+    undecided vertex has at most one chosen neighbour: adding ``pick`` rules
+    out ``adj[pick] & near``, the vertices it would give a second one, as
+    they would close a cycle. The frontier is then ``near & undecided``.
+
+    A frontier vertex with no undecided neighbour is a forced leaf: it
+    joins ``chosen`` at once, with no branch. Any tree below the node that
+    lacks it stays a tree with it added, so every largest tree there holds
+    it; and it changes no other vertex's undecided neighbours, so the pick
+    and the bound are the same with it taken (its neighbours need not join
+    ``near``: none is undecided). The search is the one that branches on
+    such vertices, with each include child taken at once and each exclude
+    child dropped. A node whose frontier is then empty is a leaf. Any other
+    node branches on the frontier vertex with the most undecided neighbours
+    (the lowest index on ties). It descends into the include child in place
+    and pushes only the exclude child on an explicit stack, which is popped
+    when a node is pruned, so nodes are visited in depth-first order,
+    include child first.
 
     A node is pruned unless its bound passes ``bar``, the best size so far
-    (``stop_at - 1`` under ``stop_at``, where the first tree that passes it
-    ends the search). Any tree the node can still grow into lies in
-    H = G[chosen + R], where the reach R holds the undecided vertices
-    reachable from chosen through undecided ones; H is connected. Each
-    frontier vertex has exactly one chosen neighbour and every undecided
-    neighbour of a vertex of R is in R, so H has cycle rank
+    (``floor`` until a tree passes it, ``stop_at - 1`` under ``stop_at``,
+    where the first tree that passes it ends the search). Any tree the node
+    can still grow into lies in H = G[chosen + R], where the reach R holds
+    the undecided vertices reachable from chosen through undecided ones; H
+    is connected. Each frontier vertex has exactly one chosen neighbour and
+    every undecided neighbour of a vertex of R is in R, so H has cycle rank
     mu = e(R) + |F| - |R| for the frontier F, with 2 e(R) the sum over R of
     the undecided neighbour counts. A tree T >= chosen inside H keeps no
     edge that touches S = V(H) - T, and T keeps |T| - 1 edges, so
-    mu <= sum over S of (deg_H - 1) <= |S| (top - 1) with top the largest
-    deg_H over R. The bound is therefore
-    ``size + |R| - ceil(mu / (top - 1))``; it holds with triangles too. The
-    walk over R counts mu and top vertex by vertex, layer by layer, and
-    stops early once the bound passes ``bar``: each vertex still to come
-    raises |R| by one and mu by at most (top - 2) / 2 for the final top,
-    and top only grows, so the bound taken on the vertices walked so far is
-    never above the bound at the end.
+    mu <= sum over S of w, with w = deg_H - 1. So S holds at least as many
+    vertices as it takes to reach mu with the largest w values of R. The
+    walk keeps a two-level profile of those values: ``hi``, the largest,
+    ``hic`` vertices that have it, and ``lo``, the next largest; every
+    other vertex has w <= lo. The count is ceil(mu / hi) when
+    hic * hi >= mu, else hic + ceil((mu - hic * hi) / lo), and the bound is
+    ``size + |R| - count``; it holds with triangles too. Every vertex of R
+    has w >= 0, and 2 mu never exceeds the sum of w over the walked
+    vertices, so mu > hic * hi leaves some 0 < w < hi, that is lo >= 1.
+
+    The walk over R goes vertex by vertex, layer by layer, and stops early
+    once the bound passes ``bar``. The count is the fewest values that reach
+    mu when hic of them are hi and the rest lo. A vertex still to come
+    raises |R| by one and mu by (w - 1) / 2 <= w for its own w, and no value
+    of the profile falls when it is added; so the values that reached mu
+    before, with w added, reach the new mu, the count grows by at most one,
+    and the bound taken on the vertices walked so far is never above the
+    bound at the end.
 
     A subtree is cut only when it holds no tree larger than ``bar``, so it
     could neither raise ``bar`` nor give the returned witness: a stronger
     bound visits a subsequence of the nodes of a weaker one, with the same
     pick and the same ``bar`` at each, and returns the same size and
-    witness (and under ``stop_at`` the same first tree of that size).
+    witness (and under ``stop_at`` the same first tree that passes it). A
+    largest tree lies at a leaf and every node above it has a bound of at
+    least its size, so any ``floor`` below t(G, v) finds the same witness.
 
     Every node either branches in two or is pruned, so an exhaustive search
     has ``nodes == 2 * prunings - 1``. An exclude child that already fails
@@ -97,8 +124,9 @@ def _search(
     best_set = 0
     nodes = 0
     prunings = 0
-    # the best size so far, or stop_at - 1: a node is searched only if its bound passes bar
-    bar = 0 if stop_at is None else stop_at - 1
+    # floor, then the best size so far, or stop_at - 1: a node is searched
+    # only if its bound passes bar
+    bar = floor if stop_at is None else stop_at - 1
     stack = []
     chosen = 1 << root
     undecided = g.full_mask & ~chosen & ~forbidden
@@ -106,75 +134,101 @@ def _search(
     size = 1
     while True:
         nodes += 1
-        if size > bar:
-            bar = size
-            best_set = chosen
-            if stop_at is not None:
-                break
         # upper bound: size plus the reach R, the undecided vertices reachable
-        # from chosen through undecided ones, less ceil(mu / (top - 1)) of
-        # them that must stay out to break every cycle of chosen + R (see the
-        # docstring). The walk is skipped when all undecided vertices
-        # together cannot pass bar; its first step is taken in the same pass
-        # over the frontier that picks the branch vertex
-        left = undecided.bit_count()
-        if size + left > bar:
+        # from chosen through undecided ones, less the vertices that must stay
+        # out to break every cycle of chosen + R (see the docstring). The walk
+        # is skipped when all undecided vertices together cannot pass bar; its
+        # first step is taken in the same pass over the frontier that takes
+        # the forced leaves and picks the branch vertex. Taking a forced leaf
+        # leaves size + |undecided| as it was
+        most = size + undecided.bit_count()
+        if most > bar:
             front = near & undecided
-            pick_deg = -1
+            pick = 0
             grow = 0
             cycles = 0
+            # the profile of w = deg_H - 1 over the walked part of R: d
+            # undecided neighbours give w = d on the frontier and d - 1 beyond
+            hi = hic = lo = 0
             rest = front
             while rest:
                 low = rest & -rest
                 nbrs = adj[low.bit_length() - 1]
-                grow |= nbrs
                 d = (nbrs & undecided).bit_count()
-                cycles += d
-                if d > pick_deg:
-                    pick_deg = d
-                    pick = low
-                    pick_nbrs = nbrs
-                rest ^= low
-            # cycles sums 2 mu vertex by vertex over the walked part of R, for
-            # d undecided neighbours: d on the frontier, whose chosen edge
-            # counts, and d - 2 beyond it; top is the largest degree in
-            # chosen + R there, d + 1 on the frontier and d beyond it
-            top = pick_deg + 1
-            reach = front.bit_count()
-            outside = undecided & ~front
-            frontier = grow & outside
-            while True:
-                ub = size + reach
-                if cycles > 0:
-                    ub += -cycles // (2 * top - 2)
-                if ub > bar or not frontier:
-                    break
-                reach += frontier.bit_count()
-                outside ^= frontier
-                grow = 0
-                while frontier:
-                    low = frontier & -frontier
-                    nbrs = adj[low.bit_length() - 1]
+                if d:
                     grow |= nbrs
-                    d = (nbrs & undecided).bit_count()
-                    cycles += d - 2
-                    if d > top:
-                        top = d
-                    frontier ^= low
-                frontier = grow & outside
-            if ub > bar:
-                # the exclude child has one undecided vertex fewer; if that
-                # already fails the bound it is counted and not pushed
-                if size + left - 1 > bar:
-                    stack.append((chosen, undecided ^ pick, near, size))
+                    cycles += d
+                    if d > hi:
+                        lo = hi
+                        hi = d
+                        hic = 1
+                        pick = low
+                        pick_nbrs = nbrs
+                    elif d == hi:
+                        hic += 1
+                    elif d > lo:
+                        lo = d
                 else:
-                    nodes += 1
-                    prunings += 1
-                chosen |= pick
-                undecided &= ~(pick | pick_nbrs & near)
-                near |= pick_nbrs
-                size += 1
-                continue
+                    # a forced leaf
+                    chosen |= low
+                    undecided ^= low
+                    size += 1
+                rest ^= low
+            if size > bar:
+                bar = size
+                best_set = chosen
+                if stop_at is not None:
+                    break
+            if pick:
+                # cycles sums 2 mu vertex by vertex over the walked part of R:
+                # d on the frontier, whose chosen edge counts, and d - 2 beyond
+                front &= undecided
+                reach = front.bit_count()
+                outside = undecided & ~front
+                frontier = grow & outside
+                while True:
+                    ub = size + reach
+                    if cycles > 0:
+                        over = cycles - 2 * hic * hi
+                        if over <= 0:
+                            ub += -cycles // (2 * hi)
+                        else:
+                            ub += -over // (2 * lo) - hic
+                    if ub > bar or not frontier:
+                        break
+                    reach += frontier.bit_count()
+                    outside ^= frontier
+                    grow = 0
+                    while frontier:
+                        low = frontier & -frontier
+                        nbrs = adj[low.bit_length() - 1]
+                        grow |= nbrs
+                        d = (nbrs & undecided).bit_count()
+                        cycles += d - 2
+                        d -= 1
+                        if d > hi:
+                            lo = hi
+                            hi = d
+                            hic = 1
+                        elif d == hi:
+                            hic += 1
+                        elif d > lo:
+                            lo = d
+                        frontier ^= low
+                    frontier = grow & outside
+                if ub > bar:
+                    # the exclude child has one undecided vertex fewer; if that
+                    # already fails the bound it is counted and not pushed
+                    if most - 1 > bar:
+                        stack.append((chosen, undecided ^ pick, near, size))
+                    else:
+                        nodes += 1
+                        prunings += 1
+                    chosen |= pick
+                    undecided &= ~(pick | pick_nbrs & near)
+                    near |= pick_nbrs
+                    size += 1
+                    continue
         prunings += 1
         if not stack:
             break
@@ -195,7 +249,10 @@ def max_induced_tree(g: Graph) -> TreeSearchResult:
 
     Runs the rooted search once per vertex r with all vertices below r
     forbidden, so each tree is counted exactly at its minimum-index vertex.
-    Roots r with n - r <= best cannot improve and are skipped.
+    Each search is floored at the best size so far, so it looks only for
+    strictly larger trees and returns the same witness as an unfloored one
+    when it finds any. Roots r with n - r <= best cannot improve and are
+    skipped.
     """
     if g.n == 0:
         raise GraphError("t(G) is undefined for the empty graph")
@@ -206,7 +263,7 @@ def max_induced_tree(g: Graph) -> TreeSearchResult:
     for r in range(g.n):
         if best_size >= g.n - r:
             break
-        size, witness, stats = _search(g, r, (1 << r) - 1)
+        size, witness, stats = _search(g, r, (1 << r) - 1, floor=best_size)
         nodes += stats.nodes
         prunings += stats.prunings
         if size > best_size:
@@ -218,7 +275,8 @@ def max_induced_tree(g: Graph) -> TreeSearchResult:
 
 
 def exists_induced_tree_through(rg: RootedGraph, target: int) -> bool:
-    """True iff t(G, v) >= target; stops at the first tree of that size.
+    """True iff t(G, v) >= target; stops at the first tree of at least that
+    size.
 
     A True answer has its witness checked like the other entry points; a
     False one has no witness to check.

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from indtree import canon, enumeration
+from indtree import canon, enumeration, solver
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
 
@@ -23,7 +23,7 @@ def test_group_rows_count_both_layers_and_repeat():
     bench = load_bench()
     originals = [
         getattr(importlib.import_module(f"indtree.{module}"), name) for module, name in bench.CANON
-    ]
+    ] + [solver._search]
     no_solves = {"calls": 0, "nodes": 0, "prunings": 0}
 
     walk = bench.measure("enumerate(7)")
@@ -31,30 +31,34 @@ def test_group_rows_count_both_layers_and_repeat():
     assert walk["canon"] == {
         "equitable_partition": 147, "canonical_labeling": 86, "_search": 86, "_refine": 772,
     }
-    assert walk["rooted"] == no_solves and walk["unrooted"] == no_solves
+    assert all(walk[kind] == no_solves for kind in bench.KINDS)
 
     solves = bench.measure("knn_minus_pm(6)")
     assert solves["graphs"] == 1
     assert solves["rooted"]["calls"] == 12 and solves["unrooted"]["calls"] == 1
+    # one refutation at t(G, v) + 1 per root, each an exhaustive search
+    refuted = solves["refuted"]
+    assert refuted["calls"] == 12 and refuted["nodes"] == 2 * refuted["prunings"] - 12
     assert set(solves["canon"].values()) == {0}
 
     for row in (walk, solves):
         assert len(row["wall_s"]) == 1
         again = bench.measure(row["group"])
         assert again["results_sha256"] == row["results_sha256"]
-        assert {k: again[k] for k in ("canon", "rooted", "unrooted")} == {
-            k: row[k] for k in ("canon", "rooted", "unrooted")
+        assert {k: again[k] for k in ("canon", *bench.KINDS)} == {
+            k: row[k] for k in ("canon", *bench.KINDS)
         }
 
     restored = [
         enumeration.equitable_partition, enumeration.canonical_labeling, canon._search, canon._refine,
+        solver._search,
     ]
     assert restored == originals
 
 
 def test_repeats_merge_wall_times_and_must_agree():
     bench = load_bench()
-    row = {"group": "g", "graphs": 1, "canon": {}, "rooted": {}, "unrooted": {}, "results_sha256": "a"}
+    row = {"group": "g", "graphs": 1, "canon": {}, "results_sha256": "a", **{k: {} for k in bench.KINDS}}
     rows = [{**row, "wall_s": [t], "wall_s_median": t} for t in (0.3, 0.1, 0.2)]
     merged = bench.merge("g", "tree", rows)
     assert merged["wall_s"] == [0.3, 0.1, 0.2] and merged["wall_s_median"] == 0.2

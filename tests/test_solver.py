@@ -232,13 +232,49 @@ def ladder(k):
     return Graph.from_edge_list(2 * k, rails + [(i, k + i) for i in range(k)])
 
 
-@pytest.mark.parametrize("k, size, node_cap", [(24, 36, 180), (200, 300, 7500)])
+@pytest.mark.parametrize("k, size, node_cap", [(24, 36, 120), (200, 300, 4000)])
 def test_ladder_rooted_at_a_corner_takes_few_nodes(k, size, node_cap):
     # every rung closes a cycle that the tree must break, which the bound
-    # counts; the caps sit a little above the 159 and 7,199 nodes measured
+    # counts; the caps sit a little above the 107 and 3,833 nodes measured
     r = max_induced_tree_through(RootedGraph(ladder(k), k))
     assert r.size == size
     assert r.stats.nodes <= node_cap
+
+
+def test_forced_leaves_are_taken_without_branching():
+    # a frontier vertex with no undecided neighbour joins the tree at once:
+    # a star rooted at a leaf is one branch on the centre, after which every
+    # other leaf is forced; branching on each would take 2,001 nodes
+    star = Graph.from_edge_list(1001, [(0, i) for i in range(1, 1001)])
+    r = max_induced_tree_through(RootedGraph(star, 1))
+    assert r.size == 1001 and r.stats.nodes <= 5
+    # a spine of 50 vertices with 5 leaves on each, rooted at a spine end:
+    # 99 nodes, against 599 when the leaves are branched on
+    edges = [(i, i + 1) for i in range(49)]
+    edges += [(i, 50 + 5 * i + j) for i in range(50) for j in range(5)]
+    caterpillar = Graph.from_edge_list(300, edges)
+    r = max_induced_tree_through(RootedGraph(caterpillar, 0))
+    assert r.size == 300 and r.stats.nodes <= 120
+
+
+def test_floor_keeps_the_witness_or_returns_nothing():
+    # a floor below t(G, v) only lowers the starting bar, which leaves every
+    # ancestor of the first largest tree unpruned; at or above t there is no
+    # tree to find
+    rng = random.Random(17)
+    triangles = disconnected = 0
+    for _ in range(60):
+        n = rng.randint(1, 13)
+        g = random_graph(rng, n, rng.random() * 0.6)
+        triangles += not is_triangle_free(g)
+        disconnected += not is_connected(g)
+        for v in range(n):
+            for forbidden in (0, (1 << v) - 1):
+                size, witness, _ = _search(g, v, forbidden)
+                for b in range(n + 1):
+                    found = _search(g, v, forbidden, floor=b)[:2]
+                    assert found == ((size, witness) if b < size else (0, 0)), (g.adj, v, b)
+    assert triangles >= 10 and disconnected >= 10
 
 
 def test_every_exhaustive_search_counts_two_children_per_branch():
@@ -334,4 +370,4 @@ def test_search_counters_are_pinned():
     # nodes and prunings depend on the bound too: a faster search that walks
     # the same tree keeps this digest, a stronger bound re-pins it
     _, counters = pinned_corpus_digests()
-    assert counters == "2ee009fc4d1a08b61903dd782983cc6f42480bdda98d80437cb26bcf7d322c46"
+    assert counters == "d7021c74dbba98405510455af713a238bc400ba59cadca61c8a9f02bcecd11bf"
