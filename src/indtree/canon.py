@@ -123,7 +123,12 @@ def _refine(
 
     Degrees into w are held bit-sliced: vertex v has degree
     sum(2**j for j, p in enumerate(planes) if p >> v & 1), so a cell is
-    stable when every plane holds all of it or none of it.
+    stable when every plane holds all of it or none of it. A one-vertex
+    splitter {u}, the common one after individualization, gives every
+    vertex degree 0 or 1 into it, so its planes are just ``[adj[u]]``
+    (none when u is isolated). The ripple-carry sum is skipped for it, and
+    a cell that u's row cuts splits into its non-neighbours of u, then its
+    neighbours: the pieces, in the order, that the one plane gives.
     """
     wi = ci = 0
     k = len(cells)
@@ -131,6 +136,24 @@ def _refine(
         w = cells[wi]
         if w in stable:
             wi += 1
+            continue
+        if not w & (w - 1):
+            # one vertex u: the only plane is u's row
+            p = adj[w.bit_length() - 1]
+            while ci < k:
+                c = cells[ci]
+                x = c & p
+                if x and x != c:
+                    cells[ci : ci + 1] = (c ^ x, x)
+                    k += 1
+                    if ci <= wi:
+                        wi, ci = ci, 0
+                        break
+                    ci += 2
+                else:
+                    ci += 1
+            else:
+                wi, ci = wi + 1, 0
             continue
         planes: list[int] = []
         rest = w
@@ -218,13 +241,24 @@ def _search(
         """Record the leaf; return the depth of the node to resume at."""
         nonlocal best_code, best_perm, best_inv, best_base
         order = [c.bit_length() - 1 for c in cells]  # position -> vertex
+        # the vertex at position i owns bit n - 1 - i, and its row holds the
+        # bits of its neighbours at later positions
+        at = [0] * n
+        bit = 1 << n
+        for v in order:
+            bit >>= 1
+            at[v] = bit
         code = 0
-        for i in range(n):
-            ai = adj[order[i]]
+        later = (1 << n) - 1
+        for c, v in zip(cells, order):
+            later ^= c
+            rest = adj[v] & later
             row = 0
-            for j in range(i + 1, n):
-                row = row << 1 | (ai >> order[j] & 1)
-            code = code << (n - 1 - i) | row
+            while rest:
+                low = rest & -rest
+                row |= at[low.bit_length() - 1]
+                rest ^= low
+            code = code * at[v] | row  # shift by the row's n - 1 - i bits
         if best_code < 0 or code < best_code:
             best_code = code
             perm = [0] * n
@@ -251,36 +285,44 @@ def _search(
         """Search below the node ``base``; ``gens`` are the stored
         automorphisms that fix ``base``. Return the depth to resume at."""
         cells = _refine(adj, cells, stable)
-        target = -1
-        for ci, c in enumerate(cells):
-            if c.bit_count() > 1:
-                target = ci
+        for target, cell in enumerate(cells):
+            if cell & (cell - 1):  # the first cell of two or more vertices
                 break
-        if target < 0:
+        else:
             return leaf(cells, base)
-        cell = cells[target]
+        head, tail = cells[:target], cells[target + 1 :]
         equitable = frozenset(cells)  # no cell splits a refinement of cells
+        depth = len(base)
         explored = 0
         closed = 0  # the explored children's orbits under gens, once updated
         checked = len(autos)  # gens holds every map stored before this one
-        for v in bits(cell):
+        rest = cell
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
             # skip v if an automorphism fixing the base maps it into an
             # already-explored sibling's orbit
-            fresh = [a for a in autos[checked:] if all(a[b] == b for b in base)]
-            checked = len(autos)
-            if fresh:
-                gens = gens + fresh
-                closed = 0
+            if checked < len(autos):
+                fresh = [a for a in autos[checked:] if all(a[b] == b for b in base)]
+                checked = len(autos)
+                if fresh:
+                    gens = gens + fresh
+                    closed = 0
             if explored & ~closed:
                 closed |= _closure(explored & ~closed, gens)
-            if closed >> v & 1:
+            if closed & bit:
                 continue
-            explored |= 1 << v
-            child = cells[:target] + [1 << v, cell & ~(1 << v)] + cells[target + 1 :]
-            resume = descend(child, base + (v,), equitable, [a for a in gens if a[v] == v])
-            if resume < len(base):
+            explored |= bit
+            resume = descend(
+                head + [bit, cell ^ bit] + tail,
+                base + (v,),
+                equitable,
+                [a for a in gens if a[v] == v] if gens else gens,
+            )
+            if resume < depth:
                 return resume
-        return len(base)
+        return depth
 
     descend(list(init_cells), (), frozenset(), [])
     return best_code, tuple(best_perm), tuple(autos)

@@ -43,6 +43,12 @@ class Graph:
 
     Instances are immutable after construction and safe to share; every
     operation on them is a pure function.
+
+    ``Graph(n, adj)`` checks its rows: n of them, each symmetric, loop-free
+    and inside ``0..n-1``. ``Graph._trusted(n, rows)`` skips those checks
+    and is for rows that hold them by construction, such as a child that
+    enumeration builds from a valid graph's rows and an independent set;
+    rows read from outside the program go through ``Graph(...)``.
     """
 
     __slots__ = ("n", "adj")
@@ -64,6 +70,16 @@ class Graph:
                     raise GraphError(f"asymmetric edge ({u}, {v})")
         self.n = n
         self.adj = rows
+
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple[int, ...]) -> "Graph":
+        """The graph with adjacency ``rows``, built without the checks of
+        ``__init__``. Precondition: ``rows`` is a tuple of n rows, symmetric
+        and loop-free, with no bit outside ``0..n-1``."""
+        g = object.__new__(cls)
+        g.n = n
+        g.adj = rows
+        return g
 
     @classmethod
     def from_edge_list(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

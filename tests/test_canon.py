@@ -141,6 +141,26 @@ def test_labeling_achieves_the_form():
         assert canonical_form(relabel(g, list(perm))).data == form.data
 
 
+def test_form_is_the_relabeled_upper_triangle():
+    # the search builds each leaf's code from neighbour masks; here the bits
+    # come from the relabeled graph's adjacency matrix, one pair at a time,
+    # in row-major upper-triangle order and packed to whole bytes
+    rng = random.Random(19)
+    for _ in range(600):
+        n = rng.randint(1, 11)
+        g = random_graph(rng, n, rng.random())
+        for root in (None, rng.randrange(n)):
+            form, perm = canonical_labeling(g, root)
+            h = relabel(g, list(perm))
+            code = 0
+            for i in range(n):
+                for j in range(i + 1, n):
+                    code = code << 1 | h.has_edge(i, j)
+            nbytes = (n * (n - 1) // 2 + 7) // 8 or 1
+            assert form.data[:5] == n.to_bytes(4, "big") + bytes((root is not None,))
+            assert form.data[5:] == code.to_bytes(nbytes, "big")
+
+
 def test_labelings_compose_to_isomorphism():
     # mapping vertices of a through canonical positions of b is an isomorphism
     rng = random.Random(4)
@@ -266,17 +286,41 @@ def random_ordered_partition(rng, n):
     return cells
 
 
+def with_singletons(rng, cells, count):
+    """``cells`` with ``count`` random vertices moved into cells of their own,
+    put at random places in the order."""
+    cells = list(cells)
+    for _ in range(count):
+        cells = [c for c in cells if c]
+        c = rng.randrange(len(cells))
+        v = rng.choice(list(bits(cells[c])))
+        cells[c] &= ~(1 << v)
+        cells.insert(rng.randint(0, len(cells)), 1 << v)
+    return [c for c in cells if c]
+
+
 def test_refine_matches_restart_reference():
-    # the resumed scan gives the same ordered partition, not just the same cells
+    # the resumed scan gives the same ordered partition, not just the same
+    # cells; rooted-style starts and split-off vertices give one-vertex
+    # splitters from the first pair on
     rng = random.Random(8)
+    extra = random.Random(18)  # draws for the singleton starts; rng's stream is unchanged
     splits = 0
     for _ in range(6000):
         n = rng.randint(1, 13)
         g = random_graph(rng, n, rng.random())
         cells = random_ordered_partition(rng, n)
-        want = reference_refine(g.adj, list(cells))
-        assert _refine(g.adj, list(cells)) == want
-        splits += len(want) - len(cells)
+        r = extra.randrange(n)
+        starts = [
+            cells,
+            [c for c in ((1 << n) - 1 ^ 1 << r, 1 << r) if c],
+            with_singletons(extra, cells, 1),
+            with_singletons(extra, cells, min(2, n)),
+        ]
+        for start in starts:
+            want = reference_refine(g.adj, list(start))
+            assert _refine(g.adj, list(start)) == want
+            splits += len(want) - len(start)
     assert splits > 10000  # the pairs exercise many splits, not only stable input
 
 

@@ -73,6 +73,25 @@ def test_construct_missing_parameter():
     assert exc.value.code == 2
 
 
+def test_run_after_a_usage_error_parses_afresh(tmp_path, capsys):
+    # run keeps one parser per process: neither an error exit nor an earlier
+    # call's options may carry over into the next call
+    path = str(c5_file(tmp_path))
+    assert run(["solve", "--input", path, "--root", "2", "--json"]) == 0
+    rooted = json.loads(capsys.readouterr().out)
+    for bad in (["construct", "--family", "gk"], ["enumerate"], ["solve", "--root", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            run(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(["solve", "--input", path]) == 0
+        assert capsys.readouterr().out.startswith("t=4 witness=[")
+        assert run(["solve", "--input", path, "--root", "2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == rooted
+    assert run(["enumerate", "--n", "4"]) == 0
+    assert len(capsys.readouterr().out.split()) == 3
+
+
 @pytest.mark.parametrize(
     "family, param, builder, at_limit",
     [

@@ -243,6 +243,24 @@ def test_children_match_the_uncut_reference():
     assert len(level) == 410
 
 
+def test_children_equal_checked_graphs():
+    # _children builds its children without Graph's checks; each must be the
+    # graph that the checked constructors build from the same rows or edges
+    level = [(Graph.from_edge_list(1, []), ())]
+    checked = 0
+    for _ in range(7):
+        nxt = []
+        for g, autos in level:
+            found = list(_children(g, autos, False))
+            for child, _ in found + list(_children(g, autos, True)):
+                assert child == Graph(child.n, child.adj)
+                assert child == Graph.from_edge_list(child.n, child.edges())
+                checked += 1
+            nxt += found
+        level = nxt
+    assert len(level) == 410 and checked > 410
+
+
 def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
     # every candidate that reaches the equitable partition is accepted
     # exactly when an isomorphism maps the new vertex to the one an unrooted
