@@ -17,13 +17,14 @@ alternates from group to group too, so a change in host load falls on both.
 Each interpreter builds the group's input untimed, runs its work once with
 call counters wrapped around the canon functions that ``indtree.enumeration``
 calls (``equitable_partition``, ``canonical_labeling``), around
-``canon._search`` and around ``canon._refine`` (a function that a tree lacks
-counts as 0 calls), and a counter around ``solver._search`` that adds up the
-searches run with ``stop_at``, which only ``exists_induced_tree_through``
-runs; it then runs the work once more unwrapped for the wall time. Every row
-records the same fields: the canon calls, the solver calls, search nodes and
-prunings of each kind (rooted, unrooted, refuted), and a sha256 over the
-results, that is the emitted graph6 lines of a walk, or each solve's
+``canon._search`` and around ``canon._refine`` (the script exits, naming
+the function, when a tree lacks one, rather than count 0 calls), and a
+counter around ``solver._search`` that adds up the searches run with
+``stop_at``, which only ``exists_induced_tree_through`` runs; it then runs
+the work once more unwrapped for the wall time. Every row records the same
+fields: the canon calls, the solver calls, search nodes and prunings of
+each kind (rooted, unrooted, refuted), and a sha256 over the results, that
+is the emitted graph6 lines of a walk, or each solve's
 ``repr((kind, size, witness))`` and each refutation's
 ``repr(("refuted", answer))``; the counters stay out of the digest, so a
 bound that prunes more keeps ``same_results``. Counters and digests are
@@ -146,8 +147,9 @@ def measure(group: str) -> dict:
     originals = []
     for module_name, fn_name in CANON:
         module = importlib.import_module(f"indtree.{module_name}")
-        if hasattr(module, fn_name):
-            originals.append((module, fn_name, getattr(module, fn_name)))
+        if not hasattr(module, fn_name):
+            sys.exit(f"{module_name}.{fn_name} is missing, so its calls cannot be counted")
+        originals.append((module, fn_name, getattr(module, fn_name)))
     solver_module = importlib.import_module("indtree.solver")
     search = solver_module._search
     for module, fn_name, fn in originals:

@@ -8,8 +8,7 @@ Graphs are read as graph6 lines or as edge-list text ("n m" header then one
 subcommands pipe into each other.
 The library walks any order in 1..MAX_N (12); the budget is this module's:
 enumerate, tabulate and verify stop at order DEFAULT_MAX_N (11) unless given
---override-budget, since n = 12 runs far longer than n = 11 (about 13 s on
-a shared 2-core Xeon, CPython 3.11.7).
+--override-budget, since n = 12 runs far longer than n = 11.
 """
 
 from __future__ import annotations
@@ -113,7 +112,7 @@ def main() -> None:
 def _check_budget(args: argparse.Namespace) -> None:
     """Refuse an order above DEFAULT_MAX_N unless --override-budget is given."""
     if args.command == "verify":
-        order = None if args.claim == "counterexample_b5" else args.max_n
+        order = args.max_n if "max_n" in verify_mod.CLAIMS[args.claim] else None
     else:
         order = getattr(args, "n", None)
     if order is not None and order > DEFAULT_MAX_N and not args.override_budget:
@@ -239,17 +238,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    claim = args.claim
-    if claim == "counterexample_b5":
-        rep = verify_mod.verify_counterexample_b5()
-    elif args.max_n is None:
-        parser.error(f"--claim {claim} needs --max-n")
-    elif claim == "diameter_remark":
-        if args.k is None:
-            parser.error("--claim diameter_remark needs --k")
-        rep = verify_mod.verify_diameter_remark(args.k, args.max_n)
-    else:  # theorem1, theorem2, corollary
-        rep = getattr(verify_mod, f"verify_{claim}")(args.max_n)
+    values = {name: getattr(args, name) for name in verify_mod.CLAIMS[args.claim]}
+    for name, value in values.items():
+        if value is None:
+            parser.error(f"--claim {args.claim} needs --{name.replace('_', '-')}")
+    rep = getattr(verify_mod, f"verify_{args.claim}")(**values)
     if args.json:
         print(json.dumps(rep.to_json_dict(), indent=2))
     else:

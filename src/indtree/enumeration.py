@@ -25,16 +25,16 @@ and is a union of orbits. A new vertex outside it is rejected, and at the
 last level a new vertex that is the whole cell is accepted. Only the other
 candidates are labeled.
 
-Orders 1..MAX_N are accepted. A default budget is the caller's: the n = 11
-walk takes about 13 s (shared 2-core Xeon, CPython 3.11.7), and the CLI
-asks for a flag before it starts n = 12.
+Orders 1..MAX_N are accepted. A default budget is the caller's: n = 12
+runs far longer than n = 11, and the CLI asks for a flag before it starts
+n = 12.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from .canon import canonical_labeling, equitable_partition
+from .canon import _closure, canonical_labeling, equitable_partition
 from .graph import Graph, GraphError, _component_of
 
 MAX_N = 12
@@ -76,10 +76,11 @@ def _children(
     ``autos`` generate the automorphism group of g; K1's ``()`` does.
     ``leaves`` says that the children are leaves of the walk: their
     automorphisms are never read, and a disconnected one is never wanted.
-    A candidate set is dropped before it is built when
+    Only sets of at least ``top`` vertices, the largest degree of g, are
+    generated. A candidate set is dropped before it is built when
     - some old vertex of the child has a larger degree than the new one:
-      canon puts a vertex of largest degree last, so the new vertex is in
-      no orbit of the last canonical vertex and ``_accept`` would reject it;
+      canon puts a vertex of largest degree last, so the new vertex is not
+      in the orbit of the last canonical vertex and would be rejected;
     - ``leaves`` is set and the set misses a component of g, so the
       child is disconnected;
     - the group generated by ``autos`` maps an earlier tried set onto it.
@@ -100,9 +101,9 @@ def _children(
     top_mask = sum(1 << v for v, a in enumerate(g.adj) if a.bit_count() == top)
     components = _components(g) if leaves else []
     tried: set[int] = set()  # every image of a tried set under autos
-    for s in _independent_sets(g):
-        d = s.bit_count()  # degree of new; a vertex of top_mask in s gets top + 1
-        if d < top or d == top and s & top_mask:
+    for s in _independent_sets(g, top):
+        # new has degree |s| >= top; a vertex of top_mask in s gets top + 1
+        if s & top_mask and s.bit_count() == top:
             continue  # an old vertex has a larger degree than new
         if components and any(not s & c for c in components):
             continue  # the child is disconnected
@@ -126,26 +127,8 @@ def _children(
             continue
         form, perm = canonical_labeling(child)
         last = perm.index(m)  # vertex in the final canonical position
-        if _accept(new, last, form.automorphisms):
+        if _closure(1 << new, form.automorphisms) >> last & 1:  # new's orbit holds last
             yield child, form.automorphisms
-
-
-def _accept(new: int, last: int, autos: Automorphisms) -> bool:
-    """Is the new vertex in the same automorphism orbit as ``last``? ``autos``
-    generate the child's automorphism group, so their orbit decides; the
-    walk over it stops once it meets ``last``."""
-    seen = 1 << new
-    stack = [new]
-    while stack:
-        u = stack.pop()
-        if u == last:
-            return True
-        for phi in autos:
-            w = phi[u]
-            if not seen >> w & 1:
-                seen |= 1 << w
-                stack.append(w)
-    return False
 
 
 def _orbit(s: int, autos: Automorphisms) -> set[int]:
@@ -180,11 +163,21 @@ def _components(g: Graph) -> list[int]:
     return out
 
 
-def _independent_sets(g: Graph) -> list[int]:
-    """All independent vertex sets of g as bitmasks, the empty set included."""
-    sets = [0]
-    for v in range(g.n):
-        av = g.adj[v]
+def _independent_sets(g: Graph, least: int = 0) -> list[int]:
+    """The independent vertex sets of g with at least ``least`` vertices, as
+    bitmasks in increasing order; the empty set is one when ``least`` is 0.
+
+    A partial set is dropped as soon as the vertices left cannot bring it
+    to ``least``; the sets kept are those of the unbounded list, in its
+    order."""
+    sets = [0] if least <= g.n else []
+    for v, av in enumerate(g.adj):
         bit = 1 << v
-        sets += [s | bit for s in sets if not av & s]
+        grown = [s | bit for s in sets if not av & s]
+        # once v is decided a set needs ``need`` vertices; a grown set has
+        # them, since its parent had need - 1 (need first exceeds 0 at 1)
+        need = least - (g.n - 1 - v)
+        if need > 0:
+            sets = [s for s in sets if s.bit_count() >= need]
+        sets += grown
     return sets

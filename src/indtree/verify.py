@@ -41,13 +41,14 @@ from .formats import to_graph6
 from .graph import Graph, GraphError, RootedGraph, closed_neighborhood, diameter
 from .solver import max_induced_tree, max_induced_tree_through
 
-CLAIMS = (
-    "theorem1",
-    "theorem2",
-    "corollary",
-    "counterexample_b5",
-    "diameter_remark",
-)
+# claim -> the parameters of verify_<claim>, in the order the CLI asks for them
+CLAIMS = {
+    "theorem1": ("max_n",),
+    "theorem2": ("max_n",),
+    "corollary": ("max_n",),
+    "counterexample_b5": (),
+    "diameter_remark": ("max_n", "k"),
+}
 
 
 @dataclass(frozen=True)

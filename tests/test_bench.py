@@ -66,3 +66,11 @@ def test_repeats_merge_wall_times_and_must_agree():
     rows[2] = {**rows[2], "graphs": 2}
     with pytest.raises(SystemExit, match="g: the repeats on tree differ in graphs"):
         bench.merge("g", "tree", rows)
+
+
+def test_a_missing_canon_function_stops_the_measurement(monkeypatch):
+    # a renamed function would otherwise count a plausible 0 calls
+    bench = load_bench()
+    monkeypatch.delattr(canon, "_refine")
+    with pytest.raises(SystemExit, match=r"canon\._refine"):
+        bench.measure("enumerate(4)")

@@ -329,6 +329,28 @@ def test_verify_missing_max_n():
         assert exc.value.code == 2
 
 
+FLAG_VALUES = {"max_n": "4", "k": "3"}
+
+
+@pytest.mark.parametrize(
+    "claim, missing",
+    [(claim, name) for claim, params in verify_mod.CLAIMS.items() for name in params],
+)
+def test_verify_names_the_one_missing_flag(claim, missing, capsys):
+    flags = [
+        arg
+        for name in verify_mod.CLAIMS[claim] if name != missing
+        for arg in (f"--{name.replace('_', '-')}", FLAG_VALUES[name])
+    ]
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--claim", claim, *flags])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    # the usage line names every flag, so only the last line tells
+    flag = "--" + missing.replace("_", "-")
+    assert out == "" and err.splitlines()[-1].endswith(f"--claim {claim} needs {flag}")
+
+
 def test_counterexample_b5_ignores_max_n(capsys):
     assert run(["verify", "--claim", "counterexample_b5", "--max-n", "12"]) == 0
 

@@ -243,6 +243,23 @@ def test_children_match_the_uncut_reference():
     assert len(level) == 410
 
 
+def test_bounded_independent_sets_keep_the_unbounded_order():
+    # the bound drops partial sets early, yet keeps exactly the large enough
+    # sets of the full list, in its order, at every parent up to order 8
+    level = [(Graph.from_edge_list(1, []), ())]
+    parents = 0
+    for _ in range(8):
+        nxt = []
+        for g, autos in level:
+            every = _independent_sets(g)
+            for least in range(g.n + 2):
+                assert _independent_sets(g, least) == [s for s in every if s.bit_count() >= least]
+            nxt += _children(g, autos, False)
+            parents += 1
+        level = nxt
+    assert parents == 1 + 2 + 3 + 7 + 14 + 38 + 107 + 410
+
+
 def test_children_equal_checked_graphs():
     # _children builds its children without Graph's checks; each must be the
     # graph that the checked constructors build from the same rows or edges

@@ -42,3 +42,13 @@ def test_nothing_imports_cli():
     """Only ``python -m indtree`` starts the command line."""
     importers = [module for module, imports in IMPORTS.items() if "cli" in imports]
     assert importers == ["__main__"]
+
+
+def test_no_module_asserts():
+    """``python -O`` strips assert statements, so no check may be one."""
+    asserting = [
+        path.name
+        for path in sorted(SRC.glob("*.py"))
+        if any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(path.read_text())))
+    ]
+    assert asserting == []

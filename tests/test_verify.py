@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from indtree import (
     verify_theorem1,
     verify_theorem2,
 )
+from indtree import verify
 from indtree.verify import FailureRecord, VerificationReport, _report
 
 
@@ -30,6 +32,17 @@ def test_theorem1_passes_small():
     assert rep.claim == "theorem1"
     assert dict(rep.parameters) == {"max_n": 6}
     assert rep.instances_checked > 0
+
+
+def test_claim_table_names_each_verifier_parameter():
+    # the CLI asks for exactly the flags CLAIMS lists, so they must be the
+    # parameters of the function it calls
+    assert list(indtree.CLAIMS) == [
+        "theorem1", "theorem2", "corollary", "counterexample_b5", "diameter_remark",
+    ]
+    for claim, params in verify.CLAIMS.items():
+        fn = getattr(verify, f"verify_{claim}")
+        assert set(params) == set(inspect.signature(fn).parameters), claim
 
 
 def test_theorem2_passes_small():
