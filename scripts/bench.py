@@ -15,24 +15,28 @@ repeat; the trees alternate repeat by repeat, and which tree runs first
 alternates from group to group too, so a change in host load falls on both.
 
 Each interpreter builds the group's input untimed, runs its work once with
-call counters wrapped around the canon functions that ``indtree.enumeration``
-calls (``equitable_partition``, ``canonical_labeling``), around
-``canon._search`` and around ``canon._refine`` (the script exits, naming
-the function, when a tree lacks one, rather than count 0 calls), and a
-counter around ``solver._search`` that adds up the searches run with
-``stop_at``, which only ``exists_induced_tree_through`` runs; it then runs
-the work once more unwrapped for the wall time. Every row records the same
-fields: the canon calls, the solver calls, search nodes and prunings of
-each kind (rooted, unrooted, refuted), and a sha256 over the results, that
-is the emitted graph6 lines of a walk, or each solve's
+call counters wrapped around ``indtree.enumeration``'s
+``canonical_labeling``, around ``canon._search`` and around
+``canon._refine``, whose calls are counted only while ``canon._search``
+runs: they are the labeling search's nodes, while enumeration may refine
+through a binding of its own. The script exits, naming the function, when a
+tree lacks one, rather than count 0 calls. A counter around
+``solver._search`` adds up the searches run with ``stop_at``, which only
+``exists_induced_tree_through`` runs. The interpreter then times RUNS more
+runs of the work, unwrapped: on a shared host single runs in fresh
+interpreters spread too widely for a change of 10-20% to show in their
+median. Every row records the same fields: the canon calls, the solver
+calls, search nodes and prunings of each kind (rooted, unrooted, refuted),
+and a sha256 over the results, that is the emitted graph6 lines of a walk,
+or each solve's
 ``repr((kind, size, witness))`` and each refutation's
 ``repr(("refuted", answer))``; the counters stay out of the digest, so a
 bound that prunes more keeps ``same_results``. Counters and digests are
 exact and machine-independent, so a tree's REPEATS rows of a group must
 agree on them, and the script exits non-zero, naming the group, when they do
 not; the artifact keeps one row per tree and group, with the wall times of
-all its repeats. The wall times are recorded with the host that produced
-them.
+all the runs of all its repeats. The wall times are recorded with the host
+that produced them.
 """
 
 from __future__ import annotations
@@ -61,12 +65,13 @@ GROUPS = (
     "ladder(16)",
 )
 REPEATS = 9
+RUNS = 5  # timed runs per interpreter
 # the row fields that every repeat of a group on one tree must reproduce
 EXACT = ("graphs", "canon", "rooted", "unrooted", "refuted", "results_sha256")
 KINDS = ("rooted", "unrooted", "refuted")
-# (module, function) pairs; each is wrapped where it is looked up at call time
+# (module, function) pairs; each is wrapped where it is looked up at call time,
+# and canon._refine is counted only inside canon._search
 CANON = (
-    ("enumeration", "equitable_partition"),
     ("enumeration", "canonical_labeling"),
     ("canon", "_search"),
     ("canon", "_refine"),
@@ -123,11 +128,19 @@ def measure(group: str) -> dict:
             return solve_all(gs)
 
     canon = {fn: 0 for _, fn in CANON}
+    searching = []  # holds one entry while canon._search runs
 
     def counting(fn_name, fn):
         def wrapper(*args, **kwargs):
-            canon[fn_name] += 1
-            return fn(*args, **kwargs)
+            if fn_name != "_refine" or searching:
+                canon[fn_name] += 1
+            if fn_name != "_search":
+                return fn(*args, **kwargs)
+            searching.append(fn_name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                searching.pop()
 
         return wrapper
 
@@ -175,9 +188,11 @@ def measure(group: str) -> dict:
         solver[kind]["nodes"] += r.stats.nodes
         solver[kind]["prunings"] += r.stats.prunings
         digest.update(repr((kind, r.size, r.witness)).encode())
-    start = time.perf_counter()
-    work()
-    seconds = [round(time.perf_counter() - start, 4)]
+    seconds = []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        work()
+        seconds.append(round(time.perf_counter() - start, 4))
     return {
         "group": group,
         "graphs": len(results) if name == "enumerate" else len(gs),
@@ -265,10 +280,12 @@ def main() -> None:
     report = {
         "what": "per group: one enumerate_connected_triangle_free(n) walk, or max_induced_tree "
         "once per graph and max_induced_tree_through and exists_induced_tree_through(rg, "
-        "t(G, v) + 1) at every root; canon calls made from indtree.enumeration, canon._search "
-        "and canon._refine calls, solver calls, search nodes and prunings of each kind (rooted, "
-        "unrooted, refuted), and sha256 over the results, the counters left out (exact); "
-        "wall seconds of one more run of the same work in each of REPEATS fresh interpreters",
+        "t(G, v) + 1) at every root; canonical_labeling calls made from indtree.enumeration, "
+        "canon._search calls and the canon._refine calls made inside canon._search (the "
+        "labeling search's nodes), solver calls, search nodes and prunings of each kind "
+        "(rooted, unrooted, refuted), and sha256 over the results, the counters left out "
+        f"(exact); wall seconds of {RUNS} more runs of the same work in each of {REPEATS} "
+        "fresh interpreters",
         "host": host(),
         "repeats": REPEATS,
         "same_results": all(b["results_sha256"] == a["results_sha256"] for b, a in zip(before, after)),

@@ -9,16 +9,20 @@ get equal forms exactly when they are (root-preserving) isomorphic.
 The backtracking search individualizes one vertex of the first non-singleton
 cell at a time. Automorphisms discovered when two leaves tie on the minimal
 encoding prune sibling branches, and each tie returns the search to the two
-leaves' common ancestor, as in nauty. This keeps highly symmetric inputs
-(empty graphs, complete bipartite blowups) from exploding, and never changes
-the labeling, since a skipped branch is the image of an explored one.
+leaves' common ancestor, as in nauty. The swaps of false twins, vertices
+with equal rows, are automorphisms known before the search; they are
+stored before it starts, so the siblings they relate are pruned without
+first reaching a tie. This keeps highly symmetric inputs (empty graphs,
+complete bipartite blowups) from exploding, and never changes the labeling,
+since a skipped branch is the image of an explored one.
 
 Cells keep their order through every split, and the first split orders them
 by degree, so an unrooted graph's last canonical vertex has the largest
-degree and lies in the last cell of ``equitable_partition``, the refinement
-the search starts below. Each cell is a union of automorphism orbits.
-Enumeration relies on these facts to decide most candidates without a
-search.
+degree and lies in the last cell of ``_refine(adj, [full])``, the equitable
+refinement of the unit partition that the search starts below. Each cell is
+a union of automorphism orbits. Enumeration relies on these facts to decide
+most candidates without a search, and refines only until the new vertex's
+place in the last cell is settled (``_refine``'s ``settle``).
 """
 
 from __future__ import annotations
@@ -34,9 +38,11 @@ class CanonicalForm:
 
     ``data`` embeds the vertex count and a root flag, so forms of different
     sizes, or a rooted and an unrooted form, never collide. ``automorphisms``
-    holds non-identity automorphisms of the input that the labeling search
-    met (``phi[v]`` is the image of ``v``); they generate the whole
-    root-fixing automorphism group and do not participate in equality.
+    holds non-identity automorphisms of the input (``phi[v]`` is the image
+    of ``v``): first the swaps of consecutive false twins other than the
+    root, then those that the labeling search met at tying leaves. Together
+    they generate the whole root-fixing automorphism group. They do not
+    participate in equality.
     """
 
     data: bytes
@@ -49,19 +55,6 @@ def canonical_form(g: Graph, root: int | None = None) -> CanonicalForm:
     return form
 
 
-def equitable_partition(g: Graph) -> list[int]:
-    """Ordered cells, as vertex masks, of the equitable refinement of g's
-    unit partition: the partition that ``canonical_labeling(g)`` refines
-    first and searches below.
-
-    The last cell holds the vertex that the labeling puts last, and each
-    cell is a union of automorphism orbits.
-    """
-    if g.n == 0:
-        return []
-    return _refine(g.adj, [(1 << g.n) - 1])
-
-
 def canonical_labeling(
     g: Graph, root: int | None = None
 ) -> tuple[CanonicalForm, tuple[int, ...]]:
@@ -72,10 +65,10 @@ def canonical_labeling(
     A ``root`` is individualized before the search, so the form and the
     automorphisms are those of ``g`` rooted there. Without a root, the
     vertex put in the final position, n - 1, has the largest degree in ``g``
-    and lies in the last cell of ``equitable_partition(g)``: the first
-    refinement orders the cells by degree, smallest first, and every later
-    split, by refinement or by individualization, replaces a cell by its
-    pieces in place.
+    and lies in the last cell of ``_refine(g.adj, [g.full_mask])``: the
+    first refinement orders the cells by degree, smallest first, and every
+    later split, by refinement or by individualization, replaces a cell by
+    its pieces in place.
     """
     n = g.n
     full = (1 << n) - 1
@@ -87,7 +80,7 @@ def canonical_labeling(
         raise GraphError(f"root {root} outside 0..{n - 1}")
     if n == 0:
         return CanonicalForm(_pack(0, False, 0)), ()
-    code, perm, autos = _search(g.adj, n, cells)
+    code, perm, autos = _search(g.adj, n, cells, _twin_swaps(g.adj, root))
     return CanonicalForm(_pack(n, root is not None, code), autos), perm
 
 
@@ -102,7 +95,7 @@ def _pack(n: int, rooted: bool, code: int) -> bytes:
 
 
 def _refine(
-    adj: tuple[int, ...], cells: list[int], stable: frozenset[int] = frozenset()
+    adj: tuple[int, ...], cells: list[int], stable: frozenset[int] = frozenset(), settle: int = 0
 ) -> list[int]:
     """Equitable refinement: split cells by degree into every cell, smallest
     degree first, until stable. Deterministic in the cell order, so the
@@ -120,6 +113,13 @@ def _refine(
     ``stable`` holds masks known to split no cell of ``cells``, such as
     the cells of an equitable partition that ``cells`` refines; the scan
     passes over them as splitters, since it would find no split there.
+
+    A ``settle`` mask of one vertex stops the refinement early: each time
+    the last cell splits, the cells are returned as they stand if the new
+    last cell misses that vertex or is that vertex alone. A split keeps the
+    last piece last, so the last cell of the finished refinement is a
+    subset of the current one and would give the same answer. The early
+    partition need not be equitable; only its last cell is meant to be read.
 
     Degrees into w are held bit-sliced: vertex v has degree
     sum(2**j for j, p in enumerate(planes) if p >> v & 1), so a cell is
@@ -146,6 +146,8 @@ def _refine(
                 if x and x != c:
                     cells[ci : ci + 1] = (c ^ x, x)
                     k += 1
+                    if settle and ci + 2 == k and (not x & settle or x == settle):
+                        return cells  # the last cell split and settled
                     if ci <= wi:
                         wi, ci = ci, 0
                         break
@@ -192,6 +194,10 @@ def _refine(
                     pieces = split
                 cells[ci : ci + 1] = pieces
                 k += len(pieces) - 1
+                if settle and ci + len(pieces) == k:
+                    x = pieces[-1]
+                    if not x & settle or x == settle:
+                        return cells  # the last cell split and settled
                 if ci <= wi:
                     # the splitter or a cell before it changed: resume
                     # with the first piece as the splitter
@@ -205,8 +211,28 @@ def _refine(
     return cells
 
 
+def _twin_swaps(adj: tuple[int, ...], root: int | None) -> list[tuple[int, ...]]:
+    """The transpositions of consecutive false twins, vertices with equal
+    rows, other than ``root``: (v_i, v_(i+1)) for each twin class
+    v_0 < v_1 < ..., ordered by v_(i+1). Each is a root-fixing
+    automorphism, and the pairs of a class generate its symmetric group."""
+    n = len(adj)
+    swaps = []
+    prev: dict[int, int] = {}  # row -> the largest vertex seen with it
+    for v, row in enumerate(adj):
+        if v == root:
+            continue
+        u = prev.get(row)
+        if u is not None:
+            phi = list(range(n))
+            phi[u], phi[v] = v, u
+            swaps.append(tuple(phi))
+        prev[row] = v
+    return swaps
+
+
 def _search(
-    adj: tuple[int, ...], n: int, init_cells: list[int]
+    adj: tuple[int, ...], n: int, init_cells: list[int], seeds: list[tuple[int, ...]]
 ) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Minimal encoding, a labeling achieving it and automorphisms that
     generate the root-fixing automorphism group Aut.
@@ -224,6 +250,16 @@ def _search(
     the stored maps have Aut's orbits along that stabiliser chain, and
     generate Aut.
 
+    ``seeds`` are maps of Aut known before the search, ``_twin_swaps`` in
+    practice. They are stored first, so they prune from the root node on.
+    Like a tie's map, a seed skips a branch only when the branch holds
+    images of leaves in an explored sibling's branch, and those come earlier
+    in depth-first order. So the first leaf that reaches the minimum is
+    still visited, and the labeling is that of the unseeded search. The
+    seeds fix the empty base, so they are among the stored maps that every
+    node fixing them receives, and the argument above still shows that the
+    stored maps generate Aut.
+
     Each node gets from its parent the stored maps that fix its base, and
     filters only the maps stored since against that base. It keeps the
     union of its explored children's orbits, adds a child's orbit only
@@ -235,7 +271,7 @@ def _search(
     best_perm: list[int] = []
     best_inv: list[int] = []
     best_base: tuple[int, ...] = ()
-    autos: list[tuple[int, ...]] = []
+    autos = list(seeds)
 
     def leaf(cells: list[int], base: tuple[int, ...]) -> int:
         """Record the leaf; return the depth of the node to resume at."""
@@ -324,7 +360,7 @@ def _search(
                 return resume
         return depth
 
-    descend(list(init_cells), (), frozenset(), [])
+    descend(list(init_cells), (), frozenset(), list(seeds))
     return best_code, tuple(best_perm), tuple(autos)
 
 

@@ -22,8 +22,9 @@ map the new vertex to the last canonical one.
 As in McKay's generator and geng, cheap invariants decide first: the last
 cell of a candidate's equitable partition holds the last canonical vertex
 and is a union of orbits. A new vertex outside it is rejected, and at the
-last level a new vertex that is the whole cell is accepted. Only the other
-candidates are labeled.
+last level a new vertex that is the whole cell is accepted. The refinement
+stops as soon as the last cell settles either question, since later splits
+only shrink it. Only the other candidates are labeled.
 
 Orders 1..MAX_N are accepted. A default budget is the caller's: n = 12
 runs far longer than n = 11, and the CLI asks for a flag before it starts
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .canon import _closure, canonical_labeling, equitable_partition
+from .canon import _closure, _refine, canonical_labeling
 from .graph import Graph, GraphError, _component_of
 
 MAX_N = 12
@@ -89,11 +90,15 @@ def _children(
       has decided both. Accepted children from two orbits are never
       isomorphic (McKay's lemma), so no seen-set is needed.
 
-    Every other candidate is built, and its equitable partition is
-    refined once. The last cell holds the last canonical vertex and is a
-    union of orbits, so a new vertex outside it is rejected. If ``leaves``
-    is set and the cell is the new vertex alone, the child is accepted and
-    yielded with ``()``. Otherwise the child is labeled.
+    Every other candidate is built, and the unit partition is refined
+    towards its equitable partition, whose last cell holds the last
+    canonical vertex and is a union of orbits. The refinement stops once
+    its last cell misses the new vertex or is the new vertex alone
+    (``_refine``'s ``settle``); later splits would only shrink that cell,
+    so the answer is the finished refinement's. A new vertex outside the
+    cell is rejected. If ``leaves`` is set and the cell is the new vertex
+    alone, the child is accepted and yielded with ``()``. Otherwise the
+    child is labeled.
     """
     m = g.n
     new = m
@@ -119,15 +124,15 @@ def _children(
         rows.append(s)
         # symmetric and loop-free by construction, so Graph's checks are skipped
         child = Graph._trusted(m + 1, tuple(rows))
-        cells = equitable_partition(child)
-        if not cells[-1] >> new & 1:
+        last = _refine(child.adj, [child.full_mask], settle=1 << new)[-1]
+        if not last >> new & 1:
             continue  # the last canonical vertex is in the last cell, new is not
-        if leaves and cells[-1] == 1 << new:
+        if leaves and last == 1 << new:
             yield child, ()  # new is put last
             continue
         form, perm = canonical_labeling(child)
-        last = perm.index(m)  # vertex in the final canonical position
-        if _closure(1 << new, form.automorphisms) >> last & 1:  # new's orbit holds last
+        # new's orbit holds the vertex in the final canonical position
+        if _closure(1 << new, form.automorphisms) >> perm.index(m) & 1:
             yield child, form.automorphisms
 
 
@@ -175,9 +180,12 @@ def _independent_sets(g: Graph, least: int = 0) -> list[int]:
         bit = 1 << v
         grown = [s | bit for s in sets if not av & s]
         # once v is decided a set needs ``need`` vertices; a grown set has
-        # them, since its parent had need - 1 (need first exceeds 0 at 1)
+        # them, since its parent had need - 1. need first exceeds 0 at 1,
+        # where only the empty set, always first, falls short
         need = least - (g.n - 1 - v)
-        if need > 0:
+        if need == 1:
+            del sets[0]
+        elif need > 1:
             sets = [s for s in sets if s.bit_count() >= need]
         sets += grown
     return sets

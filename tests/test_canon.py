@@ -16,7 +16,8 @@ from indtree import (
     canonical_form,
     canonical_labeling,
 )
-from indtree.canon import _refine, equitable_partition
+from indtree import canon
+from indtree.canon import _refine
 from indtree.graph import bits
 
 from helpers import random_graph, to_nx
@@ -361,16 +362,21 @@ def test_last_canonical_vertex_has_largest_degree():
             assert h.degree(perm.index(n - 1)) == top
 
 
+def unit_refinement(g):
+    """The equitable refinement of g's unit partition; no cells when n = 0."""
+    return _refine(g.adj, [g.full_mask] if g.n else [])
+
+
 def test_equitable_partition_holds_the_last_vertex_and_orbits():
     # enumeration decides a candidate from its equitable partition before it
     # labels it: the cells must cover V, the last cell must hold the last
     # canonical vertex, and every cell must be a union of orbits
-    assert equitable_partition(Graph.from_edge_list(0, [])) == []
+    assert unit_refinement(Graph.from_edge_list(0, [])) == []
     rng = random.Random(13)
     for _ in range(1000):
         n = rng.randint(1, 11)
         g = random_graph(rng, n, rng.random())
-        cells = equitable_partition(g)
+        cells = unit_refinement(g)
         assert sum(cells) == (1 << n) - 1 and sum(c.bit_count() for c in cells) == n
         form, perm = canonical_labeling(g)
         assert cells[-1] >> perm.index(n - 1) & 1
@@ -498,3 +504,46 @@ def test_symmetric_families_store_few_automorphisms():
     families = [s for n in range(16, 21) for s in ([n], [n // 2, n - n // 2], [1, n - 1])]
     for sizes in families + [[40], [20, 20]]:
         assert len(canonical_labeling(blow_up_path(sizes))[0].automorphisms) <= sum(sizes) - 1
+
+
+def with_twins(rng, g, extra):
+    """g plus ``extra`` new vertices, each a false twin of a random vertex:
+    adjacent to exactly that vertex's neighbours."""
+    edges = list(g.edges())
+    n = g.n
+    for _ in range(extra):
+        v = rng.randrange(n)
+        edges += [(w, n) for w in bits(Graph.from_edge_list(n, edges).adj[v])]
+        n += 1
+    return Graph.from_edge_list(n, edges)
+
+
+def test_twin_seeds_keep_the_labeling(monkeypatch):
+    # the stored twin swaps only prune: on twin-rich graphs, rooted at a twin
+    # and elsewhere, the form and the labeling are those of the search
+    # without seeds, every stored map fixes the root, and the stored maps
+    # generate the same group
+    rng = random.Random(19)
+    cases = [blow_up_path(sizes) for sizes in ([1, 5], [3, 4], [2, 1, 2], [2, 2, 2], [3, 1, 1, 3])]
+    cases += [Graph.from_edge_list(6, [(0, 1), (0, 2), (0, 3), (3, 4), (3, 5)])]  # pendant twins
+    cases += [Graph.from_edge_list(5, [])]
+    cases += [with_twins(rng, random_graph(rng, rng.randint(1, 5), rng.random()), 2) for _ in range(60)]
+    seeded = {}
+    swaps = 0
+    for g in cases:
+        for root in (None, *range(g.n)):
+            seeds = canon._twin_swaps(g.adj, root)
+            swaps += len(seeds)
+            form, perm = canonical_labeling(g, root)
+            assert form.automorphisms[: len(seeds)] == tuple(seeds)
+            for phi in form.automorphisms:
+                assert all(sum(1 << phi[w] for w in bits(g.adj[v])) == g.adj[phi[v]] for v in range(g.n))
+                if root is not None:
+                    assert phi[root] == root
+            seeded[g, root] = form, perm
+    assert swaps > 500
+    monkeypatch.setattr(canon, "_twin_swaps", lambda adj, root: [])
+    for (g, root), (form, perm) in seeded.items():
+        plain, plain_perm = canonical_labeling(g, root)
+        assert (form.data, perm) == (plain.data, plain_perm)
+        assert generated_group(g.n, form.automorphisms) == generated_group(g.n, plain.automorphisms)

@@ -25,7 +25,7 @@ from indtree import (
     tabulate,
     to_graph6,
 )
-from indtree import enumeration
+from indtree import canon, enumeration
 from indtree.enumeration import _children, _independent_sets, _orbit
 
 
@@ -284,62 +284,108 @@ def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
     # labeling puts last; the partition and the search each accept and
     # reject, and every vertex the stored automorphisms put in the new
     # vertex's orbit is one that rooted canonical forms put there too
-    partition, label, children = (
-        enumeration.equitable_partition,
-        enumeration.canonical_labeling,
-        enumeration._children,
-    )
-    candidates, orbits, accepted = [], {}, set()
+    refine, label, children = enumeration._refine, enumeration.canonical_labeling, enumeration._children
+    candidates, orbits, accepted = [], {}, set()  # keyed by the id of the child's rows
 
-    def partitioning(child):
-        candidates.append(child)  # keeps every child alive, so ids stay distinct
-        return partition(child)
+    def refining(adj, cells, *args, **kwargs):
+        candidates.append(adj)  # keeps every child's rows alive, so ids stay distinct
+        return refine(adj, cells, *args, **kwargs)
 
     def labeling(child):
         form, perm = label(child)
         orbit = _orbit(1 << (child.n - 1), form.automorphisms)
-        orbits[id(child)] = [mask.bit_length() - 1 for mask in orbit]
+        orbits[id(child.adj)] = [mask.bit_length() - 1 for mask in orbit]
         return form, perm
 
     def accepting(g, autos, leaves):
         for child, child_autos in children(g, autos, leaves):
-            accepted.add(id(child))
+            accepted.add(id(child.adj))
             yield child, child_autos
 
-    monkeypatch.setattr(enumeration, "equitable_partition", partitioning)
+    monkeypatch.setattr(enumeration, "_refine", refining)
     monkeypatch.setattr(enumeration, "canonical_labeling", labeling)
     monkeypatch.setattr(enumeration, "_children", accepting)
     for n in range(1, 10):
         sum(1 for _ in enumerate_connected_triangle_free(n))
     kinds = collections.Counter()
-    for child in candidates:
+    for adj in candidates:
+        child = Graph(len(adj), adj)
         new = child.n - 1
         rooted = lambda w: are_rooted_isomorphic(RootedGraph(child, new), RootedGraph(child, w))
-        answer = id(child) in accepted
+        answer = id(adj) in accepted
         assert answer == rooted(label(child)[1].index(new))
-        searched = id(child) in orbits
+        searched = id(adj) in orbits
         if searched:
-            assert all(rooted(w) for w in orbits[id(child)])
+            assert all(rooted(w) for w in orbits[id(adj)])
         kinds[searched, answer] += 1
     assert len(kinds) == 4, kinds
 
 
+def test_early_last_cell_gives_the_full_verdict(monkeypatch):
+    # _children stops refining once the last cell misses the new vertex or
+    # is the new vertex alone; for every candidate it refines up to order 9,
+    # that verdict is the one the finished equitable partition gives
+    refine = enumeration._refine
+    verdicts = collections.Counter()
+
+    def verdict(last, new):
+        return "reject" if not last & new else "alone" if last == new else "label"
+
+    def checking(adj, cells, stable=frozenset(), settle=0):
+        early = refine(adj, list(cells), stable, settle)
+        full = refine(adj, list(cells), stable)
+        assert settle and not full[-1] & ~early[-1]  # the full last cell lies in the early one
+        assert verdict(early[-1], settle) == verdict(full[-1], settle)
+        verdicts[verdict(full[-1], settle), early == full] += 1
+        return early
+
+    monkeypatch.setattr(enumeration, "_refine", checking)
+    for n in range(1, 10):
+        sum(1 for _ in enumerate_connected_triangle_free(n))
+    # a stopped refinement has settled, so it never leaves a label verdict;
+    # the other two are reached both by stopped and by finished refinements
+    assert set(verdicts) == {(v, done) for v in ("reject", "alone") for done in (False, True)} | {
+        ("label", True)
+    }
+
+
+# per order: labeling search nodes, then the candidates that the partition
+# rejects and the leaves it accepts, the last cell being the new vertex alone
+DECIDED = {7: (369, 24, 37), 8: (1236, 140, 177)}
+
+
 @pytest.mark.parametrize("n, partitions, labelings", [(7, 147, 86), (8, 578, 261)])
 def test_work_per_walk_is_pinned(monkeypatch, n, partitions, labelings):
-    # candidates that reach the equitable partition, and those of them that
-    # only canon's search can decide
+    # candidates that reach the equitable partition, those of them that only
+    # canon's search can decide, that search's nodes (its refinements) and
+    # the candidates that the partition decides
+    nodes, rejected, settled = DECIDED[n]
     calls = collections.Counter()
+    refine, label, search_refine = enumeration._refine, enumeration.canonical_labeling, canon._refine
 
-    def counted(name):
-        fn = getattr(enumeration, name)
+    def partition(adj, cells, stable=frozenset(), settle=0):
+        calls["partitions"] += 1
+        cells = refine(adj, cells, stable, settle)
+        if not cells[-1] & settle:
+            calls["rejected"] += 1
+        elif cells[-1] == settle and len(adj) == n:
+            calls["settled"] += 1
+        return cells
 
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
+    def labeling(*args):
+        calls["labelings"] += 1
+        return label(*args)
 
-        return wrapper
+    def node(*args):
+        calls["nodes"] += 1
+        return search_refine(*args)
 
-    for name in ("equitable_partition", "canonical_labeling"):
-        monkeypatch.setattr(enumeration, name, counted(name))
+    monkeypatch.setattr(enumeration, "_refine", partition)
+    monkeypatch.setattr(enumeration, "canonical_labeling", labeling)
+    monkeypatch.setattr(canon, "_refine", node)
     sum(1 for _ in enumerate_connected_triangle_free(n))
-    assert calls == {"equitable_partition": partitions, "canonical_labeling": labelings}
+    assert calls == {
+        "partitions": partitions, "labelings": labelings, "nodes": nodes,
+        "rejected": rejected, "settled": settled,
+    }
+    assert partitions == rejected + settled + labelings
