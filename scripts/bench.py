@@ -19,24 +19,35 @@ call counters wrapped around ``indtree.enumeration``'s
 ``canonical_labeling``, around ``canon._search`` and around
 ``canon._refine``, whose calls are counted only while ``canon._search``
 runs: they are the labeling search's nodes, while enumeration may refine
-through a binding of its own. The script exits, naming the function, when a
-tree lacks one, rather than count 0 calls. A counter around
+through a binding of its own. Two more count enumeration's own work: the
+calls of ``indtree.enumeration._refine``, one per candidate child that is
+refined, and the sets that ``enumeration._independent_sets`` lists for the
+last level of a walk, its candidate sets. The script exits, naming the
+function, when a tree lacks one, rather than count 0 calls. A counter around
 ``solver._search`` adds up the searches run with ``stop_at``, which only
 ``exists_induced_tree_through`` runs. The interpreter then times RUNS more
 runs of the work, unwrapped: on a shared host single runs in fresh
 interpreters spread too widely for a change of 10-20% to show in their
-median. Every row records the same fields: the canon calls, the solver
-calls, search nodes and prunings of each kind (rooted, unrooted, refuted),
-and a sha256 over the results, that is the emitted graph6 lines of a walk,
-or each solve's
-``repr((kind, size, witness))`` and each refutation's
+median. Before each timed run it times a reference sample, a fixed
+pure-Python bitset search that shares no code with indtree, so no change to
+the program moves it. The speed of one core on a shared host jumps between
+levels as other tenants come and go, and a whole interpreter tends to run at
+one level, so the raw medians of a group jump with the share of its
+interpreters that ran slow. Each run is therefore also reported in
+reference seconds: its time times REFERENCE_S over the mean of the
+interpreter's reference samples, the unit of ``perfbench/run.py``. Every
+row records the same fields: the canon calls, the enumeration counts, the
+solver calls, search nodes and prunings of each kind (rooted, unrooted,
+refuted), and a sha256 over the results, that is the emitted graph6 lines
+of a walk, or each solve's ``repr((kind, size, witness))`` and each
+refutation's
 ``repr(("refuted", answer))``; the counters stay out of the digest, so a
 bound that prunes more keeps ``same_results``. Counters and digests are
 exact and machine-independent, so a tree's REPEATS rows of a group must
 agree on them, and the script exits non-zero, naming the group, when they do
 not; the artifact keeps one row per tree and group, with the wall times of
-all the runs of all its repeats. The wall times are recorded with the host
-that produced them.
+all the runs of all its repeats, raw and in reference seconds. The wall
+times are recorded with the host that produced them.
 """
 
 from __future__ import annotations
@@ -67,7 +78,7 @@ GROUPS = (
 REPEATS = 9
 RUNS = 5  # timed runs per interpreter
 # the row fields that every repeat of a group on one tree must reproduce
-EXACT = ("graphs", "canon", "rooted", "unrooted", "refuted", "results_sha256")
+EXACT = ("graphs", "canon", "enumeration", "rooted", "unrooted", "refuted", "results_sha256")
 KINDS = ("rooted", "unrooted", "refuted")
 # (module, function) pairs; each is wrapped where it is looked up at call time,
 # and canon._refine is counted only inside canon._search
@@ -76,6 +87,45 @@ CANON = (
     ("canon", "_search"),
     ("canon", "_refine"),
 )
+# on a host where reference_sample() takes this long, reference seconds are seconds
+REFERENCE_S = 0.2
+# a fixed cubic graph: the 28-cycle and its 14 antipodal chords
+REFERENCE_ADJ = tuple(sum(1 << (v + d) % 28 for d in (1, 14, 27)) for v in range(28))
+REFERENCE_COUNT = 228485  # its independent sets, the empty one included
+
+
+def reference_search(within: int) -> int:
+    """Independent sets of REFERENCE_ADJ inside ``within``; every node also
+    buckets its vertices by degree, for the dict and bit work of indtree's
+    inner loops."""
+    buckets: dict[int, int] = {}
+    rest = within
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        d = (REFERENCE_ADJ[low.bit_length() - 1] & within).bit_count()
+        buckets[d] = buckets.get(d, 0) | low
+    total = 1
+    while within:
+        low = within & -within
+        within ^= low
+        total += reference_search(within & ~REFERENCE_ADJ[low.bit_length() - 1])
+    return total
+
+
+def reference_sample() -> float:
+    """Seconds for one full reference search."""
+    start = time.perf_counter()
+    if reference_search((1 << 28) - 1) != REFERENCE_COUNT:
+        raise AssertionError("the reference search miscounted")
+    return time.perf_counter() - start
+
+
+def in_reference_s(seconds: list[float], samples: list[float]) -> list[float]:
+    """``seconds`` in reference seconds: each times REFERENCE_S over the
+    mean of the reference ``samples`` taken in the same interpreter."""
+    factor = REFERENCE_S / statistics.mean(samples)
+    return [round(s * factor, 4) for s in seconds]
 
 
 def solve_all(gs: list) -> list:
@@ -104,7 +154,8 @@ def ladder(k: int):
 
 
 def measure(group: str) -> dict:
-    """Untimed build, one counted run and one timed run of one group in this interpreter."""
+    """Untimed build, one counted run and RUNS timed runs, each after a
+    reference sample, of one group in this interpreter."""
     import indtree
 
     name, n = group[:-1].split("(")
@@ -157,21 +208,43 @@ def measure(group: str) -> dict:
 
         return wrapper
 
+    enumeration = {"_refine": 0, "leaf_sets": 0}
+
+    def refining(_, fn):
+        def wrapper(*args, **kwargs):
+            enumeration["_refine"] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def listing(_, fn):
+        def wrapper(g, *args, **kwargs):
+            out = fn(g, *args, **kwargs)
+            if name == "enumerate" and g.n + 1 == n:
+                enumeration["leaf_sets"] += len(out)
+            return out
+
+        return wrapper
+
+    # (module, function, wrapper factory); enumeration refines and lists
+    # sets through bindings of its own
+    hooks = [(module_name, fn_name, counting) for module_name, fn_name in CANON]
+    hooks += [("enumeration", "_refine", refining), ("enumeration", "_independent_sets", listing)]
     originals = []
-    for module_name, fn_name in CANON:
+    for module_name, fn_name, hook in hooks:
         module = importlib.import_module(f"indtree.{module_name}")
         if not hasattr(module, fn_name):
             sys.exit(f"{module_name}.{fn_name} is missing, so its calls cannot be counted")
-        originals.append((module, fn_name, getattr(module, fn_name)))
+        originals.append((module, fn_name, getattr(module, fn_name), hook))
     solver_module = importlib.import_module("indtree.solver")
     search = solver_module._search
-    for module, fn_name, fn in originals:
-        setattr(module, fn_name, counting(fn_name, fn))
+    for module, fn_name, fn, hook in originals:
+        setattr(module, fn_name, hook(fn_name, fn))
     solver_module._search = refuting(search)
     try:
         results = work()
     finally:
-        for module, fn_name, fn in originals:
+        for module, fn_name, fn, _ in originals:
             setattr(module, fn_name, fn)
         solver_module._search = search
 
@@ -189,18 +262,25 @@ def measure(group: str) -> dict:
         solver[kind]["prunings"] += r.stats.prunings
         digest.update(repr((kind, r.size, r.witness)).encode())
     seconds = []
+    samples = []
     for _ in range(RUNS):
+        samples.append(reference_sample())
         start = time.perf_counter()
         work()
         seconds.append(round(time.perf_counter() - start, 4))
+    scaled = in_reference_s(seconds, samples)
     return {
         "group": group,
         "graphs": len(results) if name == "enumerate" else len(gs),
         "canon": canon,
+        "enumeration": enumeration,
         **solver,
         "results_sha256": digest.hexdigest(),
         "wall_s": seconds,
         "wall_s_median": statistics.median(seconds),
+        "reference_s": [round(s, 4) for s in samples],
+        "wall_ref_s": scaled,
+        "wall_ref_s_median": statistics.median(scaled),
     }
 
 
@@ -251,8 +331,12 @@ def merge(group: str, tree: str, rows: list[dict]) -> dict:
     differ = [k for k in EXACT if any(row[k] != rows[0][k] for row in rows)]
     if differ:
         sys.exit(f"{group}: the repeats on {tree} differ in {', '.join(differ)}")
-    seconds = [s for row in rows for s in row["wall_s"]]
-    return {**rows[0], "wall_s": seconds, "wall_s_median": statistics.median(seconds)}
+    merged = dict(rows[0])
+    for key in ("wall_s", "reference_s", "wall_ref_s"):
+        merged[key] = [s for row in rows for s in row[key]]
+    merged["wall_s_median"] = statistics.median(merged["wall_s"])
+    merged["wall_ref_s_median"] = statistics.median(merged["wall_ref_s"])
+    return merged
 
 
 def main() -> None:
@@ -282,10 +366,13 @@ def main() -> None:
         "once per graph and max_induced_tree_through and exists_induced_tree_through(rg, "
         "t(G, v) + 1) at every root; canonical_labeling calls made from indtree.enumeration, "
         "canon._search calls and the canon._refine calls made inside canon._search (the "
-        "labeling search's nodes), solver calls, search nodes and prunings of each kind "
-        "(rooted, unrooted, refuted), and sha256 over the results, the counters left out "
-        f"(exact); wall seconds of {RUNS} more runs of the same work in each of {REPEATS} "
-        "fresh interpreters",
+        "labeling search's nodes), the calls of indtree.enumeration._refine and the sets "
+        "enumeration._independent_sets lists for a walk's last level, solver calls, search "
+        "nodes and prunings of each kind (rooted, unrooted, refuted), and sha256 over the "
+        f"results, the counters left out (exact); wall seconds of {RUNS} more runs of the "
+        f"same work in each of {REPEATS} fresh interpreters, raw (wall_s) and in reference "
+        f"seconds (wall_ref_s: times {REFERENCE_S} s over the mean of the reference samples "
+        "taken before each run in the same interpreter, reference_s)",
         "host": host(),
         "repeats": REPEATS,
         "same_results": all(b["results_sha256"] == a["results_sha256"] for b, a in zip(before, after)),

@@ -23,13 +23,15 @@ def test_group_rows_count_both_layers_and_repeat():
     bench = load_bench()
     originals = [
         getattr(importlib.import_module(f"indtree.{module}"), name) for module, name in bench.CANON
-    ] + [solver._search]
+    ] + [enumeration._refine, enumeration._independent_sets, solver._search]
     no_solves = {"calls": 0, "nodes": 0, "prunings": 0}
 
     walk = bench.measure("enumerate(7)")
     assert walk["graphs"] == 59
     # canon._refine counts only the refinements inside canon._search: its nodes
-    assert walk["canon"] == {"canonical_labeling": 86, "_search": 86, "_refine": 369}
+    assert walk["canon"] == {"canonical_labeling": 79, "_search": 79, "_refine": 337}
+    # enumeration's refinements at every level, and the candidate sets of the last
+    assert walk["enumeration"] == {"_refine": 118, "leaf_sets": 219}
     assert all(walk[kind] == no_solves for kind in bench.KINDS)
 
     solves = bench.measure("knn_minus_pm(6)")
@@ -38,30 +40,56 @@ def test_group_rows_count_both_layers_and_repeat():
     # one refutation at t(G, v) + 1 per root, each an exhaustive search
     refuted = solves["refuted"]
     assert refuted["calls"] == 12 and refuted["nodes"] == 2 * refuted["prunings"] - 12
-    assert set(solves["canon"].values()) == {0}
+    assert set(solves["canon"].values()) == set(solves["enumeration"].values()) == {0}
 
     for row in (walk, solves):
-        assert len(row["wall_s"]) == bench.RUNS
+        assert len(row["wall_s"]) == len(row["reference_s"]) == bench.RUNS
+        assert row["wall_ref_s"] == bench.in_reference_s(row["wall_s"], row["reference_s"])
         again = bench.measure(row["group"])
-        assert again["results_sha256"] == row["results_sha256"]
-        assert {k: again[k] for k in ("canon", *bench.KINDS)} == {
-            k: row[k] for k in ("canon", *bench.KINDS)
-        }
+        assert {k: again[k] for k in bench.EXACT} == {k: row[k] for k in bench.EXACT}
 
-    restored = [enumeration.canonical_labeling, canon._search, canon._refine, solver._search]
+    restored = [
+        enumeration.canonical_labeling, canon._search, canon._refine,
+        enumeration._refine, enumeration._independent_sets, solver._search,
+    ]
     assert restored == originals
 
 
 def test_repeats_merge_wall_times_and_must_agree():
     bench = load_bench()
-    row = {"group": "g", "graphs": 1, "canon": {}, "results_sha256": "a", **{k: {} for k in bench.KINDS}}
-    rows = [{**row, "wall_s": [t], "wall_s_median": t} for t in (0.3, 0.1, 0.2)]
+    row = {
+        "group": "g", "graphs": 1, "canon": {}, "enumeration": {}, "results_sha256": "a",
+        **{k: {} for k in bench.KINDS},
+    }
+    rows = [
+        {**row, "wall_s": [t], "reference_s": [r], "wall_ref_s": [t / r]}
+        for t, r in ((0.3, 1.0), (0.1, 0.5), (0.2, 2.0))
+    ]
     merged = bench.merge("g", "tree", rows)
     assert merged["wall_s"] == [0.3, 0.1, 0.2] and merged["wall_s_median"] == 0.2
+    assert merged["reference_s"] == [1.0, 0.5, 2.0]
+    assert merged["wall_ref_s"] == [0.3, 0.2, 0.1] and merged["wall_ref_s_median"] == 0.2
     assert {k: merged[k] for k in bench.EXACT} == {k: row[k] for k in bench.EXACT}
     rows[2] = {**rows[2], "graphs": 2}
     with pytest.raises(SystemExit, match="g: the repeats on tree differ in graphs"):
         bench.merge("g", "tree", rows)
+
+
+def test_reference_seconds_cancel_the_host_speed():
+    # an interpreter on a core twice as slow takes twice as long for the
+    # work and for the reference samples, and reads the same reference
+    # seconds; a mean sample of REFERENCE_S leaves the seconds as they are
+    bench = load_bench()
+    seconds, samples = [0.0123, 0.0456, 0.0789], [0.15, 0.25, 0.2]
+    assert bench.in_reference_s(seconds, samples) == seconds
+    assert bench.in_reference_s([2 * s for s in seconds], [2 * s for s in samples]) == seconds
+    assert bench.in_reference_s(seconds, [s / 2 for s in samples]) == [0.0246, 0.0912, 0.1578]
+    # the sample counts the independent sets of a fixed cubic graph
+    assert bench.reference_search(0) == 1
+    assert bench.reference_search(0b11) == 3  # the edge {0, 1}
+    assert bench.reference_search(0b101) == 4  # 0 and 2 are not adjacent
+    assert bench.reference_search((1 << 28) - 1) == bench.REFERENCE_COUNT
+    assert bench.reference_sample() > 0
 
 
 def test_a_missing_canon_function_stops_the_measurement(monkeypatch):

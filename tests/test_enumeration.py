@@ -226,9 +226,9 @@ def reference_children(g):
 
 
 def test_children_match_the_uncut_reference():
-    # the degree and last-cell cuts, the orbit skip and the disconnected-child
-    # cut change only what is labeled, never what is yielded, at every node
-    # up to order 8
+    # the degree and last-cell cuts, the orbit skip, the disconnected-child
+    # cut and the leaf accepts by degree and by twins change only what is
+    # labeled, never what is yielded, at every node up to order 8
     level = [(Graph.from_edge_list(1, []), ())]
     for _ in range(7):
         nxt = []
@@ -244,20 +244,66 @@ def test_children_match_the_uncut_reference():
 
 
 def test_bounded_independent_sets_keep_the_unbounded_order():
-    # the bound drops partial sets early, yet keeps exactly the large enough
-    # sets of the full list, in its order, at every parent up to order 8
+    # the bound and the masks to meet drop partial sets early, yet keep
+    # exactly the large enough sets of the full list that meet every mask,
+    # in its order, at every parent up to order 8, K1 and the edgeless
+    # graphs among them
     level = [(Graph.from_edge_list(1, []), ())]
-    parents = 0
+    parents = edgeless = 0
     for _ in range(8):
         nxt = []
         for g, autos in level:
             every = _independent_sets(g)
+            components = enumeration._components(g)
             for least in range(g.n + 2):
-                assert _independent_sets(g, least) == [s for s in every if s.bit_count() >= least]
+                large = [s for s in every if s.bit_count() >= least]
+                assert _independent_sets(g, least) == large
+                assert _independent_sets(g, least, components) == [
+                    s for s in large if all(s & c for c in components)
+                ]
             nxt += _children(g, autos, False)
             parents += 1
+            edgeless += not any(g.adj)
         level = nxt
     assert parents == 1 + 2 + 3 + 7 + 14 + 38 + 107 + 410
+    assert edgeless == 8  # K1 and the empty graphs on 2..8 vertices
+
+
+def test_leaf_shortcuts_agree_with_the_full_decision():
+    # at the last level _children accepts a candidate without the search
+    # when the new vertex alone has the largest degree, or when the finished
+    # last cell holds the new vertex and false twins of it only. For every
+    # set of at least top vertices at every parent up to order 8 (children
+    # up to order 9, disconnected ones too, every set and not one per
+    # orbit), each rule that fires gives the full decision: the degree rule
+    # puts the new vertex alone in the last cell, and the twin rule puts it
+    # with the vertex that an unrooted labeling puts last
+    level = [(Graph.from_edge_list(1, []), ())]
+    fired = collections.Counter()
+    for _ in range(8):
+        nxt = []
+        for g, autos in level:
+            new = g.n
+            top = max(a.bit_count() for a in g.adj)
+            top_mask = sum(1 << v for v, a in enumerate(g.adj) if a.bit_count() == top)
+            for s in _independent_sets(g, top):
+                if s & top_mask and s.bit_count() == top:
+                    continue  # rejected by degree before either rule
+                rows = tuple(a | (s >> v & 1) << new for v, a in enumerate(g.adj)) + (s,)
+                child = Graph(new + 1, rows)
+                last = canon._refine(child.adj, [child.full_mask])[-1]
+                if s.bit_count() > top + (s & top_mask != 0):
+                    assert last == 1 << new
+                    fired["degree"] += 1
+                elif last >> new & 1 and last != 1 << new and all(
+                    g.adj[u] == s for u in range(new) if last >> u & 1
+                ):
+                    w = canonical_labeling(child)[1].index(new)
+                    assert are_rooted_isomorphic(RootedGraph(child, new), RootedGraph(child, w))
+                    fired["twins"] += 1
+            nxt += _children(g, autos, False)
+        level = nxt
+    assert fired == {"degree": 3572, "twins": 185}
 
 
 def test_children_equal_checked_graphs():
@@ -279,16 +325,18 @@ def test_children_equal_checked_graphs():
 
 
 def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
-    # every candidate that reaches the equitable partition is accepted
-    # exactly when an isomorphism maps the new vertex to the one an unrooted
-    # labeling puts last; the partition and the search each accept and
-    # reject, and every vertex the stored automorphisms put in the new
-    # vertex's orbit is one that rooted canonical forms put there too
+    # every candidate that is refined or yielded is accepted exactly when an
+    # isomorphism maps the new vertex to the one an unrooted labeling puts
+    # last; the shortcuts before the search and the search itself each
+    # accept and reject, and every vertex the stored automorphisms put in
+    # the new vertex's orbit is one that rooted canonical forms put there too
     refine, label, children = enumeration._refine, enumeration.canonical_labeling, enumeration._children
-    candidates, orbits, accepted = [], {}, set()  # keyed by the id of the child's rows
+    # keyed by the id of the child's rows; candidates holds every row tuple
+    # refined or yielded, so no two of them ever share an id
+    candidates, orbits, accepted = {}, {}, set()
 
     def refining(adj, cells, *args, **kwargs):
-        candidates.append(adj)  # keeps every child's rows alive, so ids stay distinct
+        candidates[id(adj)] = adj
         return refine(adj, cells, *args, **kwargs)
 
     def labeling(child):
@@ -299,6 +347,7 @@ def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
 
     def accepting(g, autos, leaves):
         for child, child_autos in children(g, autos, leaves):
+            candidates[id(child.adj)] = child.adj  # a degree accept is never refined
             accepted.add(id(child.adj))
             yield child, child_autos
 
@@ -308,7 +357,7 @@ def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
     for n in range(1, 10):
         sum(1 for _ in enumerate_connected_triangle_free(n))
     kinds = collections.Counter()
-    for adj in candidates:
+    for adj in candidates.values():
         child = Graph(len(adj), adj)
         new = child.n - 1
         rooted = lambda w: are_rooted_isomorphic(RootedGraph(child, new), RootedGraph(child, w))
@@ -349,27 +398,48 @@ def test_early_last_cell_gives_the_full_verdict(monkeypatch):
     }
 
 
-# per order: labeling search nodes, then the candidates that the partition
-# rejects and the leaves it accepts, the last cell being the new vertex alone
-DECIDED = {7: (369, 24, 37), 8: (1236, 140, 177)}
+# per order: labeling search nodes; the candidate sets of the last level;
+# the candidates that the partition rejects; the leaves it accepts, the last
+# cell being the new vertex alone; the leaves accepted by degree before any
+# refinement; and those whose finished last cell is the new vertex and false
+# twins of it
+DECIDED = {7: (337, 219, 24, 8, 29, 7), 8: (1139, 931, 140, 55, 122, 19)}
 
 
-@pytest.mark.parametrize("n, partitions, labelings", [(7, 147, 86), (8, 578, 261)])
+@pytest.mark.parametrize("n, partitions, labelings", [(7, 118, 79), (8, 456, 242)])
 def test_work_per_walk_is_pinned(monkeypatch, n, partitions, labelings):
-    # candidates that reach the equitable partition, those of them that only
-    # canon's search can decide, that search's nodes (its refinements) and
-    # the candidates that the partition decides
-    nodes, rejected, settled = DECIDED[n]
+    # candidates that pass the degree and orbit tests, those of them that
+    # reach the equitable partition, those that only canon's search can
+    # decide, that search's nodes (its refinements) and the candidates that
+    # the partition or a leaf shortcut decides
+    nodes, sets, rejected, settled, degree, twins = DECIDED[n]
     calls = collections.Counter()
     refine, label, search_refine = enumeration._refine, enumeration.canonical_labeling, canon._refine
+    independent_sets, orbit, children = enumeration._independent_sets, enumeration._orbit, enumeration._children
+    refined = {}  # keeps every refined child's rows alive, so ids stay distinct
+
+    def listing(g, *args):
+        out = independent_sets(g, *args)
+        if g.n + 1 == n:
+            calls["sets"] += len(out)
+        return out
+
+    def trying(s, autos):
+        calls["candidates"] += 1
+        return orbit(s, autos)
 
     def partition(adj, cells, stable=frozenset(), settle=0):
         calls["partitions"] += 1
+        refined[id(adj)] = adj
         cells = refine(adj, cells, stable, settle)
-        if not cells[-1] & settle:
+        last = cells[-1]
+        if not last & settle:
             calls["rejected"] += 1
-        elif cells[-1] == settle and len(adj) == n:
-            calls["settled"] += 1
+        elif len(adj) == n:
+            if last == settle:
+                calls["settled"] += 1
+            elif all(adj[u] == adj[-1] for u in range(n - 1) if last >> u & 1):
+                calls["twins"] += 1
         return cells
 
     def labeling(*args):
@@ -380,12 +450,24 @@ def test_work_per_walk_is_pinned(monkeypatch, n, partitions, labelings):
         calls["nodes"] += 1
         return search_refine(*args)
 
+    def accepting(g, autos, leaves):
+        for child, child_autos in children(g, autos, leaves):
+            if id(child.adj) not in refined:
+                assert leaves and child_autos == ()
+                calls["degree"] += 1
+            yield child, child_autos
+
+    monkeypatch.setattr(enumeration, "_independent_sets", listing)
+    monkeypatch.setattr(enumeration, "_orbit", trying)
     monkeypatch.setattr(enumeration, "_refine", partition)
     monkeypatch.setattr(enumeration, "canonical_labeling", labeling)
+    monkeypatch.setattr(enumeration, "_children", accepting)
     monkeypatch.setattr(canon, "_refine", node)
     sum(1 for _ in enumerate_connected_triangle_free(n))
+    candidates = partitions + degree
     assert calls == {
-        "partitions": partitions, "labelings": labelings, "nodes": nodes,
-        "rejected": rejected, "settled": settled,
+        "sets": sets, "candidates": candidates, "partitions": partitions,
+        "labelings": labelings, "nodes": nodes, "rejected": rejected,
+        "settled": settled, "degree": degree, "twins": twins,
     }
-    assert partitions == rejected + settled + labelings
+    assert candidates == degree + rejected + settled + twins + labelings
