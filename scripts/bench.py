@@ -8,11 +8,14 @@ Every run measures the same GROUPS: one enumeration walk
 ``enumerate_connected_triangle_free(n)`` for n = 7..10, then
 ``max_induced_tree`` once per graph plus ``max_induced_tree_through`` and the
 refutation ``exists_induced_tree_through(rg, t(G, v) + 1)`` at every root over
-the n = 9 census, G_6, K_{m,m} minus a perfect matching for m = 6..8 and the
-2 x 16 ladder (rails 0..15 and 16..31, rung i joining i and
-16 + i). Each group runs REPEATS times in a fresh interpreter per tree and
-repeat; the trees alternate repeat by repeat, and which tree runs first
-alternates from group to group too, so a change in host load falls on both.
+the n = 9 census, G_6, K_{m,m} minus a perfect matching for m = 6..8, the
+2 x 16 ladder (rails 0..15 and 16..31, rung i joining i and 16 + i) and
+RANDOM_GRAPHS seeded random connected triangle-free graphs on 16, 17 and 18
+vertices in turn (a random spanning tree plus n..2n edges that close no
+triangle, the sizes where the solver's pick rule tells most). Each group
+runs REPEATS times in a fresh interpreter per tree and repeat; the trees
+alternate repeat by repeat, and which tree runs first alternates from group
+to group too, so a change in host load falls on both.
 
 Each interpreter builds the group's input untimed, runs its work once with
 call counters wrapped around ``indtree.enumeration``'s
@@ -42,7 +45,11 @@ refuted), and a sha256 over the results, that is the emitted graph6 lines
 of a walk, or each solve's ``repr((kind, size, witness))`` and each
 refutation's
 ``repr(("refuted", answer))``; the counters stay out of the digest, so a
-bound that prunes more keeps ``same_results``. Counters and digests are
+bound that prunes more keeps ``same_results``. A second sha256 covers the
+values alone, each solve's ``repr((kind, size))`` and each refutation's
+answer, or a walk's emitted lines as above: a change of the branch vertex
+may return other witnesses of the same sizes, which moves the results
+digest but keeps ``same_values``. Counters and digests are
 exact and machine-independent, so a tree's REPEATS rows of a group must
 agree on them, and the script exits non-zero, naming the group, when they do
 not; the artifact keeps one row per tree and group, with the wall times of
@@ -58,6 +65,7 @@ import importlib
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -73,12 +81,15 @@ ROOT = Path(__file__).resolve().parent.parent
 GROUPS = (
     "enumerate(7)", "enumerate(8)", "enumerate(9)", "enumerate(10)",
     "census(9)", "g_k(6)", "knn_minus_pm(6)", "knn_minus_pm(7)", "knn_minus_pm(8)",
-    "ladder(16)",
+    "ladder(16)", "random(16..18)",
 )
 REPEATS = 9
 RUNS = 5  # timed runs per interpreter
 # the row fields that every repeat of a group on one tree must reproduce
-EXACT = ("graphs", "canon", "enumeration", "rooted", "unrooted", "refuted", "results_sha256")
+EXACT = (
+    "graphs", "canon", "enumeration", "rooted", "unrooted", "refuted",
+    "results_sha256", "values_sha256",
+)
 KINDS = ("rooted", "unrooted", "refuted")
 # (module, function) pairs; each is wrapped where it is looked up at call time,
 # and canon._refine is counted only inside canon._search
@@ -92,6 +103,8 @@ REFERENCE_S = 0.2
 # a fixed cubic graph: the 28-cycle and its 14 antipodal chords
 REFERENCE_ADJ = tuple(sum(1 << (v + d) % 28 for d in (1, 14, 27)) for v in range(28))
 REFERENCE_COUNT = 228485  # its independent sets, the empty one included
+RANDOM_SEED = 1
+RANDOM_GRAPHS = 24
 
 
 def reference_search(within: int) -> int:
@@ -153,12 +166,47 @@ def ladder(k: int):
     return Graph.from_edge_list(2 * k, rails + [(i, k + i) for i in range(k)])
 
 
+def random_triangle_free(rng: random.Random, n: int, extra: int):
+    """A random spanning tree on n vertices plus up to ``extra`` random edges
+    that close no triangle, drawn from ``rng`` (50 n tries at most)."""
+    from indtree import Graph
+
+    rows = [0] * n
+    for v in range(1, n):
+        u = rng.randrange(v)
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    for _ in range(50 * n):
+        if not extra:
+            break
+        u, v = rng.sample(range(n), 2)
+        if rows[u] >> v & 1 or rows[u] & rows[v]:
+            continue
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+        extra -= 1
+    return Graph(n, rows)
+
+
+def random_corpus(low: int, high: int) -> list:
+    """RANDOM_GRAPHS graphs from RANDOM_SEED, on low..high vertices in turn,
+    each with n..2n extra edges drawn at random."""
+    rng = random.Random(RANDOM_SEED)
+    orders = range(low, high + 1)
+    gs = []
+    for i in range(RANDOM_GRAPHS):
+        n = orders[i % len(orders)]
+        gs.append(random_triangle_free(rng, n, rng.randint(n, 2 * n)))
+    return gs
+
+
 def measure(group: str) -> dict:
     """Untimed build, one counted run and RUNS timed runs, each after a
     reference sample, of one group in this interpreter."""
     import indtree
 
-    name, n = group[:-1].split("(")
+    name, arg = group[:-1].split("(")
+    n, _, high = arg.partition("..")  # random(16..18): orders 16 to 18
     n = int(n)
     if name == "enumerate":
         gs = []
@@ -172,6 +220,8 @@ def measure(group: str) -> dict:
             gs = [indtree.build_g_k(n).graph]
         elif name == "ladder":
             gs = [ladder(n)]
+        elif name == "random":
+            gs = random_corpus(n, int(high))
         else:
             gs = [indtree.build_knn_minus_pm(n)]
 
@@ -249,22 +299,28 @@ def measure(group: str) -> dict:
         solver_module._search = search
 
     digest = hashlib.sha256()
+    values = hashlib.sha256()
     for r in results:
         if name == "enumerate":
-            digest.update(indtree.to_graph6(r) + b"\n")
+            line = indtree.to_graph6(r) + b"\n"
+            digest.update(line)
+            values.update(line)
             continue
         if isinstance(r, bool):
             digest.update(repr(("refuted", r)).encode())
+            values.update(repr(("refuted", r)).encode())
             continue
         kind = "unrooted" if r.required_root is None else "rooted"
         solver[kind]["calls"] += 1
         solver[kind]["nodes"] += r.stats.nodes
         solver[kind]["prunings"] += r.stats.prunings
         digest.update(repr((kind, r.size, r.witness)).encode())
+        values.update(repr((kind, r.size)).encode())
     seconds = []
     samples = []
     for _ in range(RUNS):
-        samples.append(reference_sample())
+        # rounded before scaling, so wall_ref_s follows from the stored reference_s
+        samples.append(round(reference_sample(), 4))
         start = time.perf_counter()
         work()
         seconds.append(round(time.perf_counter() - start, 4))
@@ -276,9 +332,10 @@ def measure(group: str) -> dict:
         "enumeration": enumeration,
         **solver,
         "results_sha256": digest.hexdigest(),
+        "values_sha256": values.hexdigest(),
         "wall_s": seconds,
         "wall_s_median": statistics.median(seconds),
-        "reference_s": [round(s, 4) for s in samples],
+        "reference_s": samples,
         "wall_ref_s": scaled,
         "wall_ref_s_median": statistics.median(scaled),
     }
@@ -368,14 +425,16 @@ def main() -> None:
         "canon._search calls and the canon._refine calls made inside canon._search (the "
         "labeling search's nodes), the calls of indtree.enumeration._refine and the sets "
         "enumeration._independent_sets lists for a walk's last level, solver calls, search "
-        "nodes and prunings of each kind (rooted, unrooted, refuted), and sha256 over the "
-        f"results, the counters left out (exact); wall seconds of {RUNS} more runs of the "
+        "nodes and prunings of each kind (rooted, unrooted, refuted), sha256 over the "
+        "results, the counters left out, and sha256 over the values, the witnesses left out "
+        f"too (exact); wall seconds of {RUNS} more runs of the "
         f"same work in each of {REPEATS} fresh interpreters, raw (wall_s) and in reference "
         f"seconds (wall_ref_s: times {REFERENCE_S} s over the mean of the reference samples "
         "taken before each run in the same interpreter, reference_s)",
         "host": host(),
         "repeats": REPEATS,
         "same_results": all(b["results_sha256"] == a["results_sha256"] for b, a in zip(before, after)),
+        "same_values": all(b["values_sha256"] == a["values_sha256"] for b, a in zip(before, after)),
         "before": {"rev": rev, "groups": before},
         "after": {"rev": "working tree", "groups": after},
     }

@@ -184,8 +184,10 @@ def is_induced_tree(g: Graph, s: int) -> bool:
     """True iff ``s`` is nonempty and induces a connected, acyclic subgraph.
 
     Equivalently: the induced subgraph is connected with exactly ``|s| - 1``
-    edges, that is its degrees sum to ``2(|s| - 1)``. The empty set is not a
-    tree.
+    edges. One walk from the lowest vertex of ``s`` through ``s`` finds the
+    vertices it reaches and sums their degrees inside ``s``; ``s`` is a
+    tree iff the walk reaches all of it and the sum is ``2(|s| - 1)``. The
+    empty set is not a tree.
     """
     if s == 0:
         return False
@@ -193,12 +195,18 @@ def is_induced_tree(g: Graph, s: int) -> bool:
         raise GraphError("vertex set has bits outside the graph")
     adj = g.adj
     degree_sum = 0
-    rest = s
-    while rest:
-        low = rest & -rest
-        degree_sum += (adj[low.bit_length() - 1] & s).bit_count()
-        rest ^= low
-    return degree_sum == 2 * (s.bit_count() - 1) and _component_of(adj, s & -s, s) == s
+    seen = frontier = s & -s
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            row = adj[low.bit_length() - 1] & s
+            degree_sum += row.bit_count()
+            nxt |= row
+            frontier ^= low
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen == s and degree_sum == 2 * (s.bit_count() - 1)
 
 
 def closed_neighborhood(g: Graph, v: int) -> int:

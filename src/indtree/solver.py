@@ -69,11 +69,17 @@ def _search(
     ``near``: none is undecided). The search is the one that branches on
     such vertices, with each include child taken at once and each exclude
     child dropped. A node whose frontier is then empty is a leaf. Any other
-    node branches on the frontier vertex with the most undecided neighbours
-    (the lowest index on ties). It descends into the include child in place
-    and pushes only the exclude child on an explicit stack, which is popped
-    when a node is pruned, so nodes are visited in depth-first order,
-    include child first.
+    node branches on the frontier vertex with the fewest undecided
+    neighbours outside ``near`` (the lowest index on ties): the one whose
+    inclusion adds the fewest new vertices to the frontier, so the search
+    closes the cycles near the tree before it opens new ones. Any frontier
+    vertex with an undecided neighbour splits the node into include and
+    exclude children that between them hold every tree below it, so the
+    pick changes the sizes and ``exists`` answers of no search, only which
+    largest tree is found first and returned. The search descends into the
+    include child in place and pushes only the exclude child on an explicit
+    stack, which is popped when a node is pruned, so nodes are visited in
+    depth-first order, include child first.
 
     A node is pruned unless its bound passes ``bar``, the best size so far
     (``floor`` until a tree passes it, ``stop_at - 1`` under ``stop_at``,
@@ -121,6 +127,7 @@ def _search(
     ``exists_induced_tree_through`` discards them.
     """
     adj = g.adj
+    n = g.n
     best_set = 0
     nodes = 0
     prunings = 0
@@ -144,7 +151,12 @@ def _search(
         most = size + undecided.bit_count()
         if most > bar:
             front = near & undecided
+            # the undecided vertices off the frontier, which a pick would add
+            # to it; forced leaves lie on the frontier, so taking them below
+            # leaves fresh as it is
+            fresh = undecided & ~near
             pick = 0
+            fewest = n
             grow = 0
             cycles = 0
             # the profile of w = deg_H - 1 over the walked part of R: d
@@ -158,12 +170,15 @@ def _search(
                 if d:
                     grow |= nbrs
                     cycles += d
+                    opens = (nbrs & fresh).bit_count()
+                    if opens < fewest:
+                        fewest = opens
+                        pick = low
+                        pick_nbrs = nbrs
                     if d > hi:
                         lo = hi
                         hi = d
                         hic = 1
-                        pick = low
-                        pick_nbrs = nbrs
                     elif d == hi:
                         hic += 1
                     elif d > lo:
@@ -184,7 +199,7 @@ def _search(
                 # d on the frontier, whose chosen edge counts, and d - 2 beyond
                 front &= undecided
                 reach = front.bit_count()
-                outside = undecided & ~front
+                outside = fresh
                 frontier = grow & outside
                 while True:
                     ub = size + reach

@@ -1,13 +1,14 @@
 """The per-group measurement of ``scripts/bench.py``, run in this interpreter,
 and the merge of one tree's repeats."""
 
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from indtree import canon, enumeration, solver
+from indtree import build_knn_minus_pm, canon, enumeration, is_connected, is_triangle_free, solver
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
 
@@ -42,6 +43,17 @@ def test_group_rows_count_both_layers_and_repeat():
     assert refuted["calls"] == 12 and refuted["nodes"] == 2 * refuted["prunings"] - 12
     assert set(solves["canon"].values()) == set(solves["enumeration"].values()) == {0}
 
+    # a walk has no witnesses, so its values are its results; a solve's
+    # values are its sizes and refutation answers, in the order they ran
+    assert walk["values_sha256"] == walk["results_sha256"]
+    values = hashlib.sha256()
+    for r in bench.solve_all([build_knn_minus_pm(6)]):
+        if isinstance(r, bool):
+            values.update(repr(("refuted", r)).encode())
+        else:
+            values.update(repr(("unrooted" if r.required_root is None else "rooted", r.size)).encode())
+    assert solves["values_sha256"] == values.hexdigest() != solves["results_sha256"]
+
     for row in (walk, solves):
         assert len(row["wall_s"]) == len(row["reference_s"]) == bench.RUNS
         assert row["wall_ref_s"] == bench.in_reference_s(row["wall_s"], row["reference_s"])
@@ -55,10 +67,26 @@ def test_group_rows_count_both_layers_and_repeat():
     assert restored == originals
 
 
+def test_random_group_solves_triangle_free_graphs_on_16_to_18_vertices():
+    bench = load_bench()
+    gs = bench.random_corpus(16, 18)
+    assert [g.n for g in gs] == [16, 17, 18] * 8
+    for g in gs:
+        # a spanning tree plus up to 2n more edges, none closing a triangle
+        assert is_connected(g) and is_triangle_free(g)
+        assert g.n - 1 < g.edge_count <= 3 * g.n - 1
+    assert [g.adj for g in bench.random_corpus(16, 18)] == [g.adj for g in gs]
+    row = bench.measure("random(16..18)")
+    assert row["graphs"] == 24 and row["unrooted"]["calls"] == 24
+    assert row["rooted"]["calls"] == row["refuted"]["calls"] == 8 * (16 + 17 + 18)
+    assert row["values_sha256"] != row["results_sha256"]
+
+
 def test_repeats_merge_wall_times_and_must_agree():
     bench = load_bench()
     row = {
         "group": "g", "graphs": 1, "canon": {}, "enumeration": {}, "results_sha256": "a",
+        "values_sha256": "b",
         **{k: {} for k in bench.KINDS},
     }
     rows = [

@@ -142,6 +142,51 @@ def test_is_induced_tree_matches_networkx():
         assert is_induced_tree(g, s) == nx.is_tree(sub)
 
 
+def two_pass_is_induced_tree(g, s):
+    """The predicate as two passes: the degrees inside s sum to 2(|s| - 1),
+    and s is connected."""
+    if s == 0:
+        return False
+    degree_sum = sum((g.adj[v] & s).bit_count() for v in vertex_list(s))
+    seen = frontier = s & -s
+    while frontier:
+        nxt = 0
+        for v in vertex_list(frontier):
+            nxt |= g.adj[v]
+        frontier = nxt & s & ~seen
+        seen |= frontier
+    return degree_sum == 2 * (s.bit_count() - 1) and seen == s
+
+
+def test_is_induced_tree_matches_networkx_and_two_passes():
+    # seeded sets of every kind: empty, single, disconnected, cyclic, trees,
+    # on graphs with and without triangles
+    rng = random.Random(19)
+    kinds = {"empty": 0, "tree": 0, "disconnected": 0, "cyclic": 0}
+    for _ in range(2000):
+        n = rng.randrange(1, 15)
+        g = random_graph(rng, n, rng.random() * 0.5)
+        s = rng.randrange(1 << n)
+        if rng.random() < 0.5:
+            s &= rng.randrange(1 << n)  # sparser sets, more of them trees
+        sub = to_nx(g).subgraph(vertex_list(s))
+        if not s:
+            expected = False
+            kinds["empty"] += 1
+        else:
+            expected = nx.is_tree(sub)
+            if expected:
+                kinds["tree"] += 1
+            elif not nx.is_connected(sub):
+                kinds["disconnected"] += 1
+            else:
+                kinds["cyclic"] += 1
+        assert is_induced_tree(g, s) == expected == two_pass_is_induced_tree(g, s), (g.adj, s)
+        with pytest.raises(GraphError):
+            is_induced_tree(g, s | 1 << n + rng.randrange(3))
+    assert min(kinds.values()) >= 20, kinds
+
+
 def test_is_induced_tree_all_subsets_small(enum_cache):
     # every subset of every connected triangle-free graph up to n=6,
     # against the connected-and-acyclic definition

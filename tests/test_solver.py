@@ -22,7 +22,7 @@ from indtree import (
 )
 from indtree.solver import _search
 
-from helpers import random_graph
+from helpers import random_graph, random_triangle_free
 
 
 def c_n(n):
@@ -250,6 +250,34 @@ def test_ladder_search_is_halved_by_the_degree_profile(k, node_cap):
     assert r.stats.nodes <= node_cap
 
 
+def test_ladder_search_follows_the_fewest_new_frontier_vertices():
+    # branching on the frontier vertex that opens the fewest new frontier
+    # vertices walks the ladder rung by rung: 599 nodes, against 3,833 when
+    # branching on the one with the most undecided neighbours; the cap sits
+    # a little above 599
+    r = max_induced_tree_through(RootedGraph(ladder(200), 200))
+    assert r.size == 300 and r.stats.nodes <= 650
+
+
+def test_triangle_free_corpus_on_16_to_18_vertices_takes_few_nodes():
+    # the rooted search and the refutation at t(G, v) + 1 at every root of
+    # 24 seeded connected triangle-free graphs, a spanning tree plus n..2n
+    # edges each: 17,418 + 7,816 = 25,234 nodes with the fewest-new pick,
+    # against 28,914 + 10,038 = 38,952 with the most undecided neighbours;
+    # the cap sits a little above 25,234
+    rng = random.Random(21)
+    nodes = 0
+    for i in range(24):
+        n = 16 + i % 3
+        g = random_triangle_free(rng, n, rng.randint(n, 2 * n))
+        assert is_triangle_free(g) and is_connected(g)
+        for v in range(n):
+            size, _, rooted = _search(g, v)
+            refuted = _search(g, v, stop_at=size + 1)[2]
+            nodes += rooted.nodes + refuted.nodes
+    assert nodes <= 26500
+
+
 def test_forced_leaves_are_taken_without_branching():
     # a frontier vertex with no undecided neighbour joins the tree at once:
     # a star rooted at a leaf is one branch on the centre, after which every
@@ -334,12 +362,13 @@ def test_matches_oracle_on_arbitrary_graphs(case):
 
 
 def pinned_corpus_digests():
-    """sha256 of the results and sha256 of the counters of every search on a
-    seeded corpus: (size, witness) of each max_induced_tree and
-    max_induced_tree_through call plus both exists answers per root, and
-    (nodes, prunings) of each call."""
+    """sha256 of the values, of the witnesses and of the counters of every
+    search on a seeded corpus: the size of each max_induced_tree and
+    max_induced_tree_through call plus both exists answers per root, the
+    witness of each of those calls, and (nodes, prunings) of each call."""
     rng = random.Random(14)
-    results = hashlib.sha256()
+    values = hashlib.sha256()
+    witnesses = hashlib.sha256()
     counters = hashlib.sha256()
     triangles = disconnected = 0
     for _ in range(80):
@@ -348,35 +377,38 @@ def pinned_corpus_digests():
         triangles += not is_triangle_free(g)
         disconnected += not is_connected(g)
         res = max_induced_tree(g)
-        results.update(repr((res.size, res.witness)).encode())
+        values.update(repr((res.size,)).encode())
+        witnesses.update(repr((res.witness,)).encode())
         counters.update(repr((res.stats.nodes, res.stats.prunings)).encode())
         for v in range(n):
             rg = RootedGraph(g, v)
             r = max_induced_tree_through(rg)
-            results.update(repr((r.size, r.witness)).encode())
+            found = exists_induced_tree_through(rg, r.size)
+            larger = exists_induced_tree_through(rg, r.size + 1)
+            values.update(repr((r.size, found, larger)).encode())
+            witnesses.update(repr((r.witness,)).encode())
             counters.update(repr((r.stats.nodes, r.stats.prunings)).encode())
-            results.update(
-                bytes(
-                    [
-                        exists_induced_tree_through(rg, r.size),
-                        exists_induced_tree_through(rg, r.size + 1),
-                    ]
-                )
-            )
     assert triangles >= 10 and disconnected >= 10
-    return results.hexdigest(), counters.hexdigest()
+    return values.hexdigest(), witnesses.hexdigest(), counters.hexdigest()
 
 
-def test_search_results_are_pinned():
-    # sizes, witnesses and exists answers depend on the pick rule and the
-    # visit order; a bound that prunes more cuts only subtrees that hold no
-    # tree above the bar, so it must leave this digest unchanged
-    results, _ = pinned_corpus_digests()
-    assert results == "587117cfa3b271d05ad5cff1344d904efe3a43b31adf2e3e3d0038b30bc8eebb"
+def test_search_values_are_pinned():
+    # every size and exists answer is exact, so no change to the pick rule,
+    # the bound or the visit order may move this digest
+    values, _, _ = pinned_corpus_digests()
+    assert values == "7043c39cd3e3a781d7e1ab59aba6cab10984b23974b5931f37804af09c54ee37"
+
+
+def test_search_witnesses_are_pinned():
+    # the witness is the first largest tree the search reaches, so it moves
+    # with the pick rule and the visit order; a bound that prunes more cuts
+    # only subtrees that hold no tree above the bar and must leave it
+    _, witnesses, _ = pinned_corpus_digests()
+    assert witnesses == "aa60d25afc090832238e945b72f789420a323af055f7345dd8ed82548130436b"
 
 
 def test_search_counters_are_pinned():
     # nodes and prunings depend on the bound too: a faster search that walks
     # the same tree keeps this digest, a stronger bound re-pins it
-    _, counters = pinned_corpus_digests()
-    assert counters == "d7021c74dbba98405510455af713a238bc400ba59cadca61c8a9f02bcecd11bf"
+    _, _, counters = pinned_corpus_digests()
+    assert counters == "6ef5920796fb56539439b561be2206217e91e7f0cddadf0baf66ca8ec6e4f329"
