@@ -17,51 +17,57 @@ runs REPEATS times in a fresh interpreter per tree and repeat; the trees
 alternate repeat by repeat, and which tree runs first alternates from group
 to group too, so a change in host load falls on both.
 
-Each interpreter builds the group's input untimed, runs its work once with
-call counters wrapped around ``indtree.enumeration``'s
-``canonical_labeling``, around ``canon._search`` and around
-``canon._refine``, whose calls are counted only while ``canon._search``
-runs: they are the labeling search's nodes, while enumeration may refine
-through a binding of its own. Two more count enumeration's own work: the
-calls of ``indtree.enumeration._refine``, one per candidate child that is
-refined, and the sets that ``enumeration._independent_sets`` lists for the
-last level of a walk, its candidate sets. The script exits, naming the
-function, when a tree lacks one, rather than count 0 calls. A counter around
-``solver._search`` adds up the searches run with ``stop_at``, which only
-``exists_induced_tree_through`` runs. The interpreter then times RUNS more
-runs of the work, unwrapped: on a shared host single runs in fresh
-interpreters spread too widely for a change of 10-20% to show in their
-median. Before each timed run it times a reference sample, a fixed
-pure-Python bitset search that shares no code with indtree, so no change to
-the program moves it. The speed of one core on a shared host jumps between
-levels as other tenants come and go, and a whole interpreter tends to run at
-one level, so the raw medians of a group jump with the share of its
-interpreters that ran slow. Each run is therefore also reported in
-reference seconds: its time times REFERENCE_S over the mean of the
-interpreter's reference samples, the unit of ``perfbench/run.py``. Every
-row records the same fields: the canon calls, the enumeration counts, the
-solver calls, search nodes and prunings of each kind (rooted, unrooted,
-refuted), and a sha256 over the results, that is the emitted graph6 lines
-of a walk, or each solve's ``repr((kind, size, witness))`` and each
-refutation's
-``repr(("refuted", answer))``; the counters stay out of the digest, so a
-bound that prunes more keeps ``same_results``. A second sha256 covers the
-values alone, each solve's ``repr((kind, size))`` and each refutation's
-answer, or a walk's emitted lines as above: a change of the branch vertex
-may return other witnesses of the same sizes, which moves the results
-digest but keeps ``same_values``. Counters and digests are
-exact and machine-independent, so a tree's REPEATS rows of a group must
-agree on them, and the script exits non-zero, naming the group, when they do
-not; the artifact keeps one row per tree and group, with the wall times of
-all the runs of all its repeats, raw and in reference seconds. The wall
-times are recorded with the host that produced them.
+Each interpreter builds the group's input untimed and runs its work once
+counted, under one ``sys.settrace`` function; the trace function in place
+before, if any, is put back afterwards, and no function of indtree is
+rebound. The hook sees every Python call and counts by code object and
+the caller's file: ``canon.canonical_labeling`` called from
+``enumeration.py``, ``canon._search``, and ``canon._refine`` called from
+``canon.py``, the labeling search's nodes. Two more count enumeration's own
+work: ``canon._refine`` called from ``enumeration.py``, one per candidate
+child that is refined, and the sets that ``enumeration._independent_sets``
+returns for the last level of a walk, its candidate sets. Each
+``solver._search`` run with ``stop_at``, which only
+``exists_induced_tree_through`` runs, adds the search counters it returns
+to ``refuted``. The script exits, naming the function, when a tree lacks
+one of these, rather than count 0 calls. The hook makes the counted run
+slower, about 3.3 times a plain run for enumerate(10) on a 2-core Xeon
+under CPython 3.11.7, and is gone before the interpreter times RUNS more
+runs of the work: on a shared host single runs in fresh interpreters
+spread too widely for a change of 10-20% to show in their median. Before
+each timed run it times a reference sample, a fixed pure-Python bitset
+search that shares no code with indtree, so no change to the program moves
+it. The speed of one core on a shared host jumps between levels as other
+tenants come and go, and a whole interpreter tends to run at one level, so
+the raw medians of a group jump with the share of its interpreters that
+ran slow. Each run is therefore also reported in reference seconds: its
+time times REFERENCE_S over the mean of the interpreter's reference
+samples. ``perfbench/run.py`` scales by a search of its own that takes
+about 1.7-1.8 times as long on the same core, so its reference seconds are
+another unit and must not be compared with these; this search stays as it
+is, so that the ``reference_s`` of earlier artifacts stay comparable.
+
+Every row records the same fields: the canon calls, the enumeration
+counts, the solver calls, search nodes and prunings of each kind (rooted,
+unrooted, refuted), and a sha256 over the results, that is the emitted
+graph6 lines of a walk, or each solve's ``repr((kind, size, witness))``
+and each refutation's ``repr(("refuted", answer))``; the counters stay out
+of the digest, so a bound that prunes more keeps ``same_results``. A
+second sha256 covers the values alone, each solve's ``repr((kind, size))``
+and each refutation's answer, or a walk's emitted lines as above: a change
+of the branch vertex may return other witnesses of the same sizes, which
+moves the results digest but keeps ``same_values``. Counters and digests
+are exact and machine-independent, so a tree's REPEATS rows of a group
+must agree on them, and the script exits non-zero, naming the group, when
+they do not; the artifact keeps one row per tree and group, with the wall
+times of all the runs of all its repeats, raw and in reference seconds.
+The wall times are recorded with the host that produced them.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib
 import json
 import os
 import platform
@@ -91,13 +97,6 @@ EXACT = (
     "results_sha256", "values_sha256",
 )
 KINDS = ("rooted", "unrooted", "refuted")
-# (module, function) pairs; each is wrapped where it is looked up at call time,
-# and canon._refine is counted only inside canon._search
-CANON = (
-    ("enumeration", "canonical_labeling"),
-    ("canon", "_search"),
-    ("canon", "_refine"),
-)
 # on a host where reference_sample() takes this long, reference seconds are seconds
 REFERENCE_S = 0.2
 # a fixed cubic graph: the 28-cycle and its 14 antipodal chords
@@ -204,6 +203,7 @@ def measure(group: str) -> dict:
     """Untimed build, one counted run and RUNS timed runs, each after a
     reference sample, of one group in this interpreter."""
     import indtree
+    from indtree import canon, enumeration, solver
 
     name, arg = group[:-1].split("(")
     n, _, high = arg.partition("..")  # random(16..18): orders 16 to 18
@@ -228,75 +228,61 @@ def measure(group: str) -> dict:
         def work():
             return solve_all(gs)
 
-    canon = {fn: 0 for _, fn in CANON}
-    searching = []  # holds one entry while canon._search runs
-
-    def counting(fn_name, fn):
-        def wrapper(*args, **kwargs):
-            if fn_name != "_refine" or searching:
-                canon[fn_name] += 1
-            if fn_name != "_search":
-                return fn(*args, **kwargs)
-            searching.append(fn_name)
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                searching.pop()
-
-        return wrapper
-
-    solver = {kind: {"calls": 0, "nodes": 0, "prunings": 0} for kind in KINDS}
-
-    def refuting(fn):
-        def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            if kwargs.get("stop_at") is not None:
-                solver["refuted"]["calls"] += 1
-                solver["refuted"]["nodes"] += out[2].nodes
-                solver["refuted"]["prunings"] += out[2].prunings
-            return out
-
-        return wrapper
-
-    enumeration = {"_refine": 0, "leaf_sets": 0}
-
-    def refining(_, fn):
-        def wrapper(*args, **kwargs):
-            enumeration["_refine"] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    def listing(_, fn):
-        def wrapper(g, *args, **kwargs):
-            out = fn(g, *args, **kwargs)
-            if name == "enumerate" and g.n + 1 == n:
-                enumeration["leaf_sets"] += len(out)
-            return out
-
-        return wrapper
-
-    # (module, function, wrapper factory); enumeration refines and lists
-    # sets through bindings of its own
-    hooks = [(module_name, fn_name, counting) for module_name, fn_name in CANON]
-    hooks += [("enumeration", "_refine", refining), ("enumeration", "_independent_sets", listing)]
-    originals = []
-    for module_name, fn_name, hook in hooks:
-        module = importlib.import_module(f"indtree.{module_name}")
+    for module, fn_name in (
+        (canon, "canonical_labeling"), (canon, "_search"), (canon, "_refine"),
+        (enumeration, "_independent_sets"), (solver, "_search"),
+    ):
         if not hasattr(module, fn_name):
-            sys.exit(f"{module_name}.{fn_name} is missing, so its calls cannot be counted")
-        originals.append((module, fn_name, getattr(module, fn_name), hook))
-    solver_module = importlib.import_module("indtree.solver")
-    search = solver_module._search
-    for module, fn_name, fn, hook in originals:
-        setattr(module, fn_name, hook(fn_name, fn))
-    solver_module._search = refuting(search)
+            sys.exit(f"{module.__name__}.{fn_name} is missing, so its calls cannot be counted")
+    labeling, labeling_search = canon.canonical_labeling.__code__, canon._search.__code__
+    refine, listing = canon._refine.__code__, enumeration._independent_sets.__code__
+    solver_search = solver._search.__code__
+    canon_file, enumeration_file = refine.co_filename, listing.co_filename
+    canon_counts = {"canonical_labeling": 0, "_search": 0, "_refine": 0}
+    enumeration_counts = {"_refine": 0, "leaf_sets": 0}
+    solver_counts = {kind: {"calls": 0, "nodes": 0, "prunings": 0} for kind in KINDS}
+    refuted = solver_counts["refuted"]
+
+    def listed(frame, event, arg):
+        if event == "return":
+            enumeration_counts["leaf_sets"] += len(arg)
+        return listed
+
+    def refuting(frame, event, arg):
+        if event == "return":
+            refuted["calls"] += 1
+            refuted["nodes"] += arg[2].nodes
+            refuted["prunings"] += arg[2].prunings
+        return refuting
+
+    def trace(frame, event, arg):
+        """The global trace function: called once per Python call."""
+        code = frame.f_code
+        if code is labeling_search:
+            canon_counts["_search"] += 1
+        elif code is labeling:
+            if frame.f_back.f_code.co_filename == enumeration_file:
+                canon_counts["canonical_labeling"] += 1
+        elif code is refine:
+            caller = frame.f_back.f_code.co_filename
+            if caller == canon_file:  # inside canon._search: a labeling search node
+                canon_counts["_refine"] += 1
+            elif caller == enumeration_file:
+                enumeration_counts["_refine"] += 1
+        elif code is listing and name == "enumerate" and frame.f_locals["g"].n + 1 == n:
+            frame.f_trace_lines = False
+            return listed
+        elif code is solver_search and frame.f_locals["stop_at"] is not None:
+            frame.f_trace_lines = False
+            return refuting
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
     try:
         results = work()
     finally:
-        for module, fn_name, fn, _ in originals:
-            setattr(module, fn_name, fn)
-        solver_module._search = search
+        sys.settrace(previous)
 
     digest = hashlib.sha256()
     values = hashlib.sha256()
@@ -311,9 +297,9 @@ def measure(group: str) -> dict:
             values.update(repr(("refuted", r)).encode())
             continue
         kind = "unrooted" if r.required_root is None else "rooted"
-        solver[kind]["calls"] += 1
-        solver[kind]["nodes"] += r.stats.nodes
-        solver[kind]["prunings"] += r.stats.prunings
+        solver_counts[kind]["calls"] += 1
+        solver_counts[kind]["nodes"] += r.stats.nodes
+        solver_counts[kind]["prunings"] += r.stats.prunings
         digest.update(repr((kind, r.size, r.witness)).encode())
         values.update(repr((kind, r.size)).encode())
     seconds = []
@@ -328,9 +314,9 @@ def measure(group: str) -> dict:
     return {
         "group": group,
         "graphs": len(results) if name == "enumerate" else len(gs),
-        "canon": canon,
-        "enumeration": enumeration,
-        **solver,
+        "canon": canon_counts,
+        "enumeration": enumeration_counts,
+        **solver_counts,
         "results_sha256": digest.hexdigest(),
         "values_sha256": values.hexdigest(),
         "wall_s": seconds,
@@ -423,9 +409,9 @@ def main() -> None:
         "once per graph and max_induced_tree_through and exists_induced_tree_through(rg, "
         "t(G, v) + 1) at every root; canonical_labeling calls made from indtree.enumeration, "
         "canon._search calls and the canon._refine calls made inside canon._search (the "
-        "labeling search's nodes), the calls of indtree.enumeration._refine and the sets "
-        "enumeration._independent_sets lists for a walk's last level, solver calls, search "
-        "nodes and prunings of each kind (rooted, unrooted, refuted), sha256 over the "
+        "labeling search's nodes), the canon._refine calls made from indtree.enumeration and "
+        "the sets enumeration._independent_sets lists for a walk's last level, solver calls, "
+        "search nodes and prunings of each kind (rooted, unrooted, refuted), sha256 over the "
         "results, the counters left out, and sha256 over the values, the witnesses left out "
         f"too (exact); wall seconds of {RUNS} more runs of the "
         f"same work in each of {REPEATS} fresh interpreters, raw (wall_s) and in reference "

@@ -22,7 +22,7 @@ import sys
 from typing import Sequence
 
 from . import verify as verify_mod
-from .constructions import build_b_k, build_g_k, build_knn_minus_pm
+from .constructions import b_k_order, build_b_k, build_g_k, build_knn_minus_pm, g_k_order
 from .enumeration import MAX_N, enumerate_connected_triangle_free
 from .formats import MAX_EDGE_LIST_N, read_graphs, to_edge_list_text, to_graph6
 from .graph import Graph, GraphError, RootedGraph
@@ -162,8 +162,8 @@ def _cmd_construct(args: argparse.Namespace, parser: argparse.ArgumentParser) ->
     # refuse before building what the CLI could not read back; a non-positive
     # index is left to the builder's own check
     order = {
-        "gk": 1 + value * (value - 1) // 2,
-        "bk": (value + 1) ** 2 // 4,
+        "gk": g_k_order(value),
+        "bk": b_k_order(value),
         "knn-minus-pm": 2 * value,
     }[args.family]
     if value > 0 and order > MAX_EDGE_LIST_N:

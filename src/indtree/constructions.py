@@ -32,6 +32,16 @@ def blow_up_path(class_sizes: Sequence[int]) -> Graph:
     return Graph.from_edge_list(starts[-1], edges)
 
 
+def g_k_order(k: int) -> int:
+    """|G_k| = 1 + (k-1)k/2, the vertex count of ``build_g_k(k)``."""
+    return 1 + (k - 1) * k // 2
+
+
+def b_k_order(k: int) -> int:
+    """|B_k| = floor((k+1)^2 / 4), the vertex count of ``build_b_k(k)``."""
+    return (k + 1) ** 2 // 4
+
+
 def build_g_k(k: int) -> RootedGraph:
     """Blown-up path with class sizes (1, k-1, k-2, ..., 1), rooted at the
     singleton first class (vertex 0).

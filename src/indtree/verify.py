@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .canon import are_rooted_isomorphic
-from .constructions import build_b_k, build_g_k, build_knn_minus_pm
+from .constructions import b_k_order, build_b_k, build_g_k, build_knn_minus_pm, g_k_order
 from .enumeration import _check_order, enumerate_connected_triangle_free
 from .formats import to_graph6
 from .graph import Graph, GraphError, RootedGraph, closed_neighborhood, diameter
@@ -82,7 +82,7 @@ def t3_star_formula(n: int) -> int:
     if n < 1:
         raise GraphError(f"n must be >= 1, got {n}")
     k = (1 + math.isqrt(8 * n - 7)) // 2
-    if 1 + (k - 1) * k // 2 < n:
+    if g_k_order(k) < n:
         k += 1
     return k
 
@@ -245,7 +245,7 @@ def _verify_rooted(
 
 def _theorem1_failure(g: Graph, v: int, k: int) -> FailureRecord | None:
     n = g.n
-    bound = 1 + (k - 1) * k // 2
+    bound = g_k_order(k)
     if n > bound:
         return _failure(g, v, n=n, t_rooted=k, bound=bound)
     if n == bound and not are_rooted_isomorphic(RootedGraph(g, v), build_g_k(k)):
@@ -275,8 +275,8 @@ def verify_corollary(max_n: int) -> VerificationReport:
     failures: list[FailureRecord] = []
     b_orders = {}
     k = 1
-    while (k + 1) ** 2 // 4 <= max_n:
-        b_orders[(k + 1) ** 2 // 4] = k
+    while b_k_order(k) <= max_n:
+        b_orders[b_k_order(k)] = k
         k += 1
     for n in range(1, max_n + 1):
         rep = tabulate(n)
@@ -326,7 +326,7 @@ def verify_diameter_remark(k: int, max_n: int) -> VerificationReport:
     if k < 2:
         raise GraphError(f"k must be >= 2, got {k}")
     _check_order(max_n, "max_n")
-    order = (k + 1) ** 2 // 4  # |B_k|, known before B_k is built
+    order = b_k_order(k)  # known before B_k is built
     if order + 1 > max_n:
         raise GraphError(
             f"nothing to check: |B_{k}| + 1 = {order + 1} exceeds max_n = {max_n}"

@@ -1,34 +1,33 @@
-"""Graph builders shared by the test modules."""
+"""Graph builders shared by the test modules, and ``scripts/bench.py`` as a
+module: the bench's ``ladder`` and ``random_triangle_free`` are the tests'
+too, so both draw the same graphs."""
+
+import importlib.util
+from pathlib import Path
 
 import networkx as nx
 
 from indtree import Graph
+
+BENCH_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
+
+
+def load_bench():
+    """A fresh copy of ``scripts/bench.py``, loaded as the module ``bench``."""
+    spec = importlib.util.spec_from_file_location("bench", BENCH_SCRIPT)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+_bench = load_bench()
+ladder, random_triangle_free = _bench.ladder, _bench.random_triangle_free
 
 
 def random_graph(rng, n, p):
     """G(n, p) drawn from ``rng``, one draw per vertex pair in row order."""
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph.from_edge_list(n, edges)
-
-
-def random_triangle_free(rng, n, extra):
-    """A random spanning tree on n vertices plus up to ``extra`` random edges
-    that close no triangle, drawn from ``rng`` (50 n tries at most)."""
-    rows = [0] * n
-    for v in range(1, n):
-        u = rng.randrange(v)
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    for _ in range(50 * n):
-        if not extra:
-            break
-        u, v = rng.sample(range(n), 2)
-        if rows[u] >> v & 1 or rows[u] & rows[v]:
-            continue
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-        extra -= 1
-    return Graph(n, rows)
 
 
 def to_nx(g):

@@ -32,6 +32,7 @@ from indtree import (
     verify_diameter_remark,
     verify_theorem2,
 )
+from indtree.constructions import b_k_order, g_k_order
 
 CRITERION_1_TIME_LIMIT = 300.0
 
@@ -242,9 +243,9 @@ def test_criterion_7_infrastructure(capsys, enum_cache):
 def test_criterion_8_construction_sizes(capsys):
     wrong = []
     for k in range(1, 21):
-        if build_g_k(k).graph.n != 1 + (k - 1) * k // 2:
+        if not build_g_k(k).graph.n == g_k_order(k) == 1 + (k - 1) * k // 2:
             wrong.append(("gk", k))
-        if build_b_k(k).n != math.floor((k + 1) ** 2 / 4):
+        if not build_b_k(k).n == b_k_order(k) == math.floor((k + 1) ** 2 / 4):
             wrong.append(("bk", k))
     ok = not wrong
     _verdict(capsys, 8, "construction size formulas k<=20", ok, f"wrong={wrong}")

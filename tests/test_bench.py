@@ -2,29 +2,21 @@
 and the merge of one tree's repeats."""
 
 import hashlib
-import importlib
-import importlib.util
-from pathlib import Path
+import sys
 
 import pytest
 
 from indtree import build_knn_minus_pm, canon, enumeration, is_connected, is_triangle_free, solver
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench.py"
-
-
-def load_bench():
-    spec = importlib.util.spec_from_file_location("bench", SCRIPT)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
+from helpers import load_bench
 
 
 def test_group_rows_count_both_layers_and_repeat():
     bench = load_bench()
     originals = [
-        getattr(importlib.import_module(f"indtree.{module}"), name) for module, name in bench.CANON
-    ] + [enumeration._refine, enumeration._independent_sets, solver._search]
+        enumeration.canonical_labeling, canon._search, canon._refine,
+        enumeration._refine, enumeration._independent_sets, solver._search,
+    ]
     no_solves = {"calls": 0, "nodes": 0, "prunings": 0}
 
     walk = bench.measure("enumerate(7)")
@@ -118,6 +110,21 @@ def test_reference_seconds_cancel_the_host_speed():
     assert bench.reference_search(0b101) == 4  # 0 and 2 are not adjacent
     assert bench.reference_search((1 << 28) - 1) == bench.REFERENCE_COUNT
     assert bench.reference_sample() > 0
+
+
+def test_the_counted_run_restores_the_previous_trace_function():
+    bench = load_bench()
+
+    def sentinel(frame, event, arg):
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(sentinel)
+    try:
+        bench.measure("enumerate(5)")
+        assert sys.gettrace() is sentinel
+    finally:
+        sys.settrace(previous)
 
 
 def test_a_missing_canon_function_stops_the_measurement(monkeypatch):
