@@ -2,9 +2,10 @@
 
     python scripts/bench.py --base REV --out BENCH_<label>.json
 
-Measures two source trees: ``src/`` of git revision REV, extracted with
-``git archive`` into a temporary directory, and ``src/`` of this checkout.
-Every run measures the same GROUPS: one enumeration walk
+Measures two source trees in one interpreter: ``src/`` of git revision REV,
+extracted with ``git archive`` into a temporary directory and imported as
+the package ``indtree_before``, and ``src/`` of this checkout, imported as
+``indtree``. Every run measures the same GROUPS: one enumeration walk
 ``enumerate_connected_triangle_free(n)`` for n = 7..10, then
 ``max_induced_tree`` once per graph plus ``max_induced_tree_through`` and the
 refutation ``exists_induced_tree_through(rg, t(G, v) + 1)`` at every root over
@@ -12,16 +13,14 @@ the n = 9 census, G_6, K_{m,m} minus a perfect matching for m = 6..8, the
 2 x 16 ladder (rails 0..15 and 16..31, rung i joining i and 16 + i) and
 RANDOM_GRAPHS seeded random connected triangle-free graphs on 16, 17 and 18
 vertices in turn (a random spanning tree plus n..2n edges that close no
-triangle, the sizes where the solver's pick rule tells most). Each group
-runs REPEATS times in a fresh interpreter per tree and repeat; the trees
-alternate repeat by repeat, and which tree runs first alternates from group
-to group too, so a change in host load falls on both.
+triangle, the sizes where the solver's pick rule tells most).
 
-Each interpreter builds the group's input untimed and runs its work once
-counted, under one ``sys.settrace`` function; the trace function in place
-before, if any, is put back afterwards, and no function of indtree is
-rebound. The hook sees every Python call and counts by code object and
-the caller's file: ``canon.canonical_labeling`` called from
+For each group and tree, ``measure`` builds the input from that tree
+untimed and runs the work once counted, under one ``sys.settrace``
+function; the trace function in place before, if any, is put back
+afterwards, and no function of indtree is rebound. The hook sees every
+Python call and counts by code object and the caller's file, both read
+from the tree being measured: ``canon.canonical_labeling`` called from
 ``enumeration.py``, ``canon._search``, and ``canon._refine`` called from
 ``canon.py``, the labeling search's nodes. Two more count enumeration's own
 work: ``canon._refine`` called from ``enumeration.py``, one per candidate
@@ -32,20 +31,14 @@ returns for the last level of a walk, its candidate sets. Each
 to ``refuted``. The script exits, naming the function, when a tree lacks
 one of these, rather than count 0 calls. The hook makes the counted run
 slower, about 3.3 times a plain run for enumerate(10) on a 2-core Xeon
-under CPython 3.11.7, and is gone before the interpreter times RUNS more
-runs of the work: on a shared host single runs in fresh interpreters
-spread too widely for a change of 10-20% to show in their median. Before
-each timed run it times a reference sample, a fixed pure-Python bitset
-search that shares no code with indtree, so no change to the program moves
-it. The speed of one core on a shared host jumps between levels as other
-tenants come and go, and a whole interpreter tends to run at one level, so
-the raw medians of a group jump with the share of its interpreters that
-ran slow. Each run is therefore also reported in reference seconds: its
-time times REFERENCE_S over the mean of the interpreter's reference
-samples. ``perfbench/run.py`` scales by a search of its own that takes
-about 1.7-1.8 times as long on the same core, so its reference seconds are
-another unit and must not be compared with these; this search stays as it
-is, so that the ``reference_s`` of earlier artifacts stay comparable.
+under CPython 3.11.7, and is gone before any run is timed.
+
+``paired`` then runs each tree's work once more, untimed, which sets how
+many times a timed run repeats the work, so that a timed run lasts at
+least FLOOR_S, and times PAIRS pairs of runs, one per tree, alternating
+which tree runs first from pair to pair. The two runs of a pair are
+adjacent in time, so a change in the host's speed between pairs falls on
+both, and the after/before ratio of each pair cancels it.
 
 Every row records the same fields: the canon calls, the enumeration
 counts, the solver calls, search nodes and prunings of each kind (rooted,
@@ -57,18 +50,20 @@ second sha256 covers the values alone, each solve's ``repr((kind, size))``
 and each refutation's answer, or a walk's emitted lines as above: a change
 of the branch vertex may return other witnesses of the same sizes, which
 moves the results digest but keeps ``same_values``. Counters and digests
-are exact and machine-independent, so a tree's REPEATS rows of a group
-must agree on them, and the script exits non-zero, naming the group, when
-they do not; the artifact keeps one row per tree and group, with the wall
-times of all the runs of all its repeats, raw and in reference seconds.
-The wall times are recorded with the host that produced them.
+are exact and machine-independent. ``wall_s`` holds the seconds per run of
+the work in each pair, ``wall_s_median`` their median; each ``after`` row
+adds ``ratio_median``, the median over pairs of after over before, and
+``won``, the pairs in which after was faster. The wall times are recorded
+with the host that produced them.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import platform
 import random
@@ -81,7 +76,8 @@ import time
 from contextlib import contextmanager
 from io import BytesIO
 from pathlib import Path
-from typing import Iterator
+from types import ModuleType
+from typing import Callable, Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 GROUPS = (
@@ -89,71 +85,43 @@ GROUPS = (
     "census(9)", "g_k(6)", "knn_minus_pm(6)", "knn_minus_pm(7)", "knn_minus_pm(8)",
     "ladder(16)", "random(16..18)",
 )
-REPEATS = 9
-RUNS = 5  # timed runs per interpreter
-# the row fields that every repeat of a group on one tree must reproduce
+PAIRS = 30
+# a timed run repeats the work until it lasts at least this long, so that
+# the 3-10 ms groups are not timed at the clock's and the scheduler's grain
+FLOOR_S = 0.05
+# the row fields that are the same on any machine
 EXACT = (
     "graphs", "canon", "enumeration", "rooted", "unrooted", "refuted",
     "results_sha256", "values_sha256",
 )
 KINDS = ("rooted", "unrooted", "refuted")
-# on a host where reference_sample() takes this long, reference seconds are seconds
-REFERENCE_S = 0.2
-# a fixed cubic graph: the 28-cycle and its 14 antipodal chords
-REFERENCE_ADJ = tuple(sum(1 << (v + d) % 28 for d in (1, 14, 27)) for v in range(28))
-REFERENCE_COUNT = 228485  # its independent sets, the empty one included
 RANDOM_SEED = 1
 RANDOM_GRAPHS = 24
 
 
-def reference_search(within: int) -> int:
-    """Independent sets of REFERENCE_ADJ inside ``within``; every node also
-    buckets its vertices by degree, for the dict and bit work of indtree's
-    inner loops."""
-    buckets: dict[int, int] = {}
-    rest = within
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        d = (REFERENCE_ADJ[low.bit_length() - 1] & within).bit_count()
-        buckets[d] = buckets.get(d, 0) | low
-    total = 1
-    while within:
-        low = within & -within
-        within ^= low
-        total += reference_search(within & ~REFERENCE_ADJ[low.bit_length() - 1])
-    return total
-
-
-def reference_sample() -> float:
-    """Seconds for one full reference search."""
-    start = time.perf_counter()
-    if reference_search((1 << 28) - 1) != REFERENCE_COUNT:
-        raise AssertionError("the reference search miscounted")
-    return time.perf_counter() - start
-
-
-def in_reference_s(seconds: list[float], samples: list[float]) -> list[float]:
-    """``seconds`` in reference seconds: each times REFERENCE_S over the
-    mean of the reference ``samples`` taken in the same interpreter."""
-    factor = REFERENCE_S / statistics.mean(samples)
-    return [round(s * factor, 4) for s in seconds]
-
-
-def solve_all(gs: list) -> list:
-    """Per graph: t(G), then per root t(G, v) and the answer of the refutation
-    at t(G, v) + 1 (a bool)."""
-    from indtree import (
-        RootedGraph, exists_induced_tree_through, max_induced_tree, max_induced_tree_through,
+def load_tree(name: str, src: Path) -> ModuleType:
+    """The package ``src/indtree``, imported under ``name``; its modules'
+    relative imports resolve inside it, so it shares no module with a tree
+    loaded under another name."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "indtree" / "__init__.py", submodule_search_locations=[str(src / "indtree")]
     )
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
 
+
+def solve_all(pkg: ModuleType, gs: list) -> list:
+    """Per graph: t(G), then per root t(G, v) and the answer of the refutation
+    at t(G, v) + 1 (a bool), all solved by the tree ``pkg``."""
     results = []
     for g in gs:
-        results.append(max_induced_tree(g))
+        results.append(pkg.max_induced_tree(g))
         for v in range(g.n):
-            rg = RootedGraph(g, v)
-            r = max_induced_tree_through(rg)
-            results += [r, exists_induced_tree_through(rg, r.size + 1)]
+            rg = pkg.RootedGraph(g, v)
+            r = pkg.max_induced_tree_through(rg)
+            results += [r, pkg.exists_induced_tree_through(rg, r.size + 1)]
     return results
 
 
@@ -199,12 +167,10 @@ def random_corpus(low: int, high: int) -> list:
     return gs
 
 
-def measure(group: str) -> dict:
-    """Untimed build, one counted run and RUNS timed runs, each after a
-    reference sample, of one group in this interpreter."""
-    import indtree
-    from indtree import canon, enumeration, solver
-
+def measure(pkg: ModuleType, group: str) -> tuple[dict, Callable[[], list]]:
+    """The row of exact fields of one group on the tree ``pkg``, from an
+    untimed build and one counted run, and the group's work."""
+    canon, enumeration, solver = pkg.canon, pkg.enumeration, pkg.solver
     name, arg = group[:-1].split("(")
     n, _, high = arg.partition("..")  # random(16..18): orders 16 to 18
     n = int(n)
@@ -212,21 +178,22 @@ def measure(group: str) -> dict:
         gs = []
 
         def work():
-            return list(indtree.enumerate_connected_triangle_free(n))
+            return list(pkg.enumerate_connected_triangle_free(n))
     else:
         if name == "census":
-            gs = list(indtree.enumerate_connected_triangle_free(n))
+            gs = list(pkg.enumerate_connected_triangle_free(n))
         elif name == "g_k":
-            gs = [indtree.build_g_k(n).graph]
+            gs = [pkg.build_g_k(n).graph]
+        # the script builds these with indtree's Graph: rebuilt in the tree measured
         elif name == "ladder":
-            gs = [ladder(n)]
+            gs = [pkg.Graph(2 * n, ladder(n).adj)]
         elif name == "random":
-            gs = random_corpus(n, int(high))
+            gs = [pkg.Graph(g.n, g.adj) for g in random_corpus(n, int(high))]
         else:
-            gs = [indtree.build_knn_minus_pm(n)]
+            gs = [pkg.build_knn_minus_pm(n)]
 
         def work():
-            return solve_all(gs)
+            return solve_all(pkg, gs)
 
     for module, fn_name in (
         (canon, "canonical_labeling"), (canon, "_search"), (canon, "_refine"),
@@ -288,7 +255,7 @@ def measure(group: str) -> dict:
     values = hashlib.sha256()
     for r in results:
         if name == "enumerate":
-            line = indtree.to_graph6(r) + b"\n"
+            line = pkg.to_graph6(r) + b"\n"
             digest.update(line)
             values.update(line)
             continue
@@ -302,16 +269,7 @@ def measure(group: str) -> dict:
         solver_counts[kind]["prunings"] += r.stats.prunings
         digest.update(repr((kind, r.size, r.witness)).encode())
         values.update(repr((kind, r.size)).encode())
-    seconds = []
-    samples = []
-    for _ in range(RUNS):
-        # rounded before scaling, so wall_ref_s follows from the stored reference_s
-        samples.append(round(reference_sample(), 4))
-        start = time.perf_counter()
-        work()
-        seconds.append(round(time.perf_counter() - start, 4))
-    scaled = in_reference_s(seconds, samples)
-    return {
+    row = {
         "group": group,
         "graphs": len(results) if name == "enumerate" else len(gs),
         "canon": canon_counts,
@@ -319,12 +277,31 @@ def measure(group: str) -> dict:
         **solver_counts,
         "results_sha256": digest.hexdigest(),
         "values_sha256": values.hexdigest(),
-        "wall_s": seconds,
-        "wall_s_median": statistics.median(seconds),
-        "reference_s": samples,
-        "wall_ref_s": scaled,
-        "wall_ref_s_median": statistics.median(scaled),
     }
+    return row, work
+
+
+def paired(before: Callable[[], object], after: Callable[[], object]) -> tuple[list[float], list[float]]:
+    """Seconds per run of each work, one time per side for each of PAIRS
+    pairs of timed runs, ``before`` first in the even pairs and ``after``
+    first in the odd ones. One untimed run of each sets how many times
+    every timed run repeats its work: enough that a timed run of the faster
+    work lasts at least FLOOR_S."""
+    works = (before, after)
+    fastest = math.inf
+    for work in works:
+        start = time.perf_counter()
+        work()
+        fastest = min(fastest, time.perf_counter() - start)
+    loops = max(1, math.ceil(FLOOR_S / fastest))
+    times: tuple[list[float], list[float]] = ([], [])
+    for i in range(PAIRS):
+        for side in (1, 0) if i % 2 else (0, 1):
+            start = time.perf_counter()
+            for _ in range(loops):
+                works[side]()
+            times[side].append((time.perf_counter() - start) / loops)
+    return times
 
 
 def host() -> dict:
@@ -345,11 +322,15 @@ def host() -> dict:
 @contextmanager
 def revision_src(rev: str) -> Iterator[tuple[str, Path]]:
     """Short hash of ``rev`` and its ``src/``, extracted with ``git archive``
-    into a temporary directory that is removed on exit."""
-    short = subprocess.run(
-        ["git", "-C", str(ROOT), "rev-parse", "--short", rev],
-        check=True, capture_output=True, text=True,
-    ).stdout.strip()
+    into a temporary directory that is removed on exit; exits if git cannot
+    resolve ``rev``."""
+    parsed = subprocess.run(
+        ["git", "-C", str(ROOT), "rev-parse", "--short", "--verify", "--quiet", f"{rev}^{{commit}}"],
+        capture_output=True, text=True,
+    )
+    if parsed.returncode:
+        sys.exit(f"--base {rev}: not a revision of this repository")
+    short = parsed.stdout.strip()
     archive = subprocess.run(
         ["git", "-C", str(ROOT), "archive", short, "src"], check=True, capture_output=True
     ).stdout
@@ -359,51 +340,31 @@ def revision_src(rev: str) -> Iterator[tuple[str, Path]]:
         yield short, Path(tmp) / "src"
 
 
-def run(src: Path, group: str) -> dict:
-    out = subprocess.run(
-        [sys.executable, __file__, "--measure", group],
-        env=dict(os.environ, PYTHONPATH=str(src)), check=True, capture_output=True, text=True,
-    ).stdout
-    print(f"{src}: {out}", end="", file=sys.stderr)
-    return json.loads(out)
-
-
-def merge(group: str, tree: str, rows: list[dict]) -> dict:
-    """One row for a tree's repeats of ``group``, holding every repeat's wall
-    time; exits if the repeats differ in an EXACT field."""
-    differ = [k for k in EXACT if any(row[k] != rows[0][k] for row in rows)]
-    if differ:
-        sys.exit(f"{group}: the repeats on {tree} differ in {', '.join(differ)}")
-    merged = dict(rows[0])
-    for key in ("wall_s", "reference_s", "wall_ref_s"):
-        merged[key] = [s for row in rows for s in row[key]]
-    merged["wall_s_median"] = statistics.median(merged["wall_s"])
-    merged["wall_ref_s_median"] = statistics.median(merged["wall_ref_s"])
-    return merged
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--base", help="git revision to compare against")
-    ap.add_argument("--out", help="JSON file to write (required)")
-    ap.add_argument("--measure", choices=GROUPS, help=argparse.SUPPRESS)
+    ap.add_argument("--base", required=True, help="git revision to compare against")
+    ap.add_argument("--out", required=True, help="JSON file to write")
     args = ap.parse_args()
-    if args.measure is not None:
-        print(json.dumps(measure(args.measure)))
-        return
-    if args.base is None or args.out is None:
-        ap.error("--base and --out are required")
     before = []
     after = []
     with revision_src(args.base) as (rev, src):
-        for i, group in enumerate(GROUPS):
-            rows: dict[Path, list[dict]] = {src: [], ROOT / "src": []}
-            trees = list(rows)
-            for r in range(REPEATS):
-                for tree in trees[::-1] if (i + r) % 2 else trees:
-                    rows[tree].append(run(tree, group))
-            before.append(merge(group, rev, rows[src]))
-            after.append(merge(group, "the working tree", rows[ROOT / "src"]))
+        trees = load_tree("indtree_before", src), load_tree("indtree", ROOT / "src")
+        for group in GROUPS:
+            (b_row, b_work), (a_row, a_work) = (measure(pkg, group) for pkg in trees)
+            b_s, a_s = paired(b_work, a_work)
+            ratios = [a / b for b, a in zip(b_s, a_s)]
+            for row, seconds in ((b_row, b_s), (a_row, a_s)):
+                row["wall_s"] = [round(s, 6) for s in seconds]
+                row["wall_s_median"] = round(statistics.median(seconds), 6)
+            a_row["ratio_median"] = round(statistics.median(ratios), 4)
+            a_row["won"] = sum(r < 1 for r in ratios)
+            before.append(b_row)
+            after.append(a_row)
+            print(
+                f"{group}: {b_row['wall_s_median']} -> {a_row['wall_s_median']} s, "
+                f"ratio {a_row['ratio_median']}, after faster in {a_row['won']}/{PAIRS}",
+                file=sys.stderr,
+            )
     report = {
         "what": "per group: one enumerate_connected_triangle_free(n) walk, or max_induced_tree "
         "once per graph and max_induced_tree_through and exists_induced_tree_through(rg, "
@@ -413,12 +374,13 @@ def main() -> None:
         "the sets enumeration._independent_sets lists for a walk's last level, solver calls, "
         "search nodes and prunings of each kind (rooted, unrooted, refuted), sha256 over the "
         "results, the counters left out, and sha256 over the values, the witnesses left out "
-        f"too (exact); wall seconds of {RUNS} more runs of the "
-        f"same work in each of {REPEATS} fresh interpreters, raw (wall_s) and in reference "
-        f"seconds (wall_ref_s: times {REFERENCE_S} s over the mean of the reference samples "
-        "taken before each run in the same interpreter, reference_s)",
+        f"too (exact); both trees in one interpreter, timed in {PAIRS} pairs of runs that "
+        "alternate which tree runs first, each run repeating the work to last at least "
+        f"{FLOOR_S} s: seconds per work in each pair (wall_s) and their median, and in the "
+        "after rows the median over pairs of after / before (ratio_median) and the pairs "
+        "in which after was faster (won)",
         "host": host(),
-        "repeats": REPEATS,
+        "pairs": PAIRS,
         "same_results": all(b["results_sha256"] == a["results_sha256"] for b, a in zip(before, after)),
         "same_values": all(b["values_sha256"] == a["values_sha256"] for b, a in zip(before, after)),
         "before": {"rev": rev, "groups": before},

@@ -119,12 +119,7 @@ def _search(
     least its size, so any ``floor`` below t(G, v) finds the same witness.
 
     Every node either branches in two or is pruned, so an exhaustive search
-    has ``nodes == 2 * prunings - 1``. An exclude child that already fails
-    the bound when it would be pushed is counted as a node and a pruning
-    there and never pushed: the bar only rises, so it would fail when
-    popped too. Under ``stop_at`` the counters may therefore include such
-    children that the search would not have reached before stopping;
-    ``exists_induced_tree_through`` discards them.
+    has ``nodes == 2 * prunings - 1``.
     """
     adj = g.adj
     n = g.n
@@ -146,10 +141,8 @@ def _search(
         # out to break every cycle of chosen + R (see the docstring). The walk
         # is skipped when all undecided vertices together cannot pass bar; its
         # first step is taken in the same pass over the frontier that takes
-        # the forced leaves and picks the branch vertex. Taking a forced leaf
-        # leaves size + |undecided| as it was
-        most = size + undecided.bit_count()
-        if most > bar:
+        # the forced leaves and picks the branch vertex
+        if size + undecided.bit_count() > bar:
             front = near & undecided
             # the undecided vertices off the frontier, which a pick would add
             # to it; forced leaves lie on the frontier, so taking them below
@@ -232,13 +225,7 @@ def _search(
                         frontier ^= low
                     frontier = grow & outside
                 if ub > bar:
-                    # the exclude child has one undecided vertex fewer; if that
-                    # already fails the bound it is counted and not pushed
-                    if most - 1 > bar:
-                        stack.append((chosen, undecided ^ pick, near, size))
-                    else:
-                        nodes += 1
-                        prunings += 1
+                    stack.append((chosen, undecided ^ pick, near, size))
                     chosen |= pick
                     undecided &= ~(pick | pick_nbrs & near)
                     near |= pick_nbrs

@@ -311,8 +311,7 @@ def test_floor_keeps_the_witness_or_returns_nothing():
 
 def test_every_exhaustive_search_counts_two_children_per_branch():
     # every node either branches in two or is pruned, so a search that runs
-    # to the end has nodes == 2 * prunings - 1, exclude children counted
-    # where they fail the bound before being pushed included
+    # to the end has nodes == 2 * prunings - 1
     rng = random.Random(15)
     checked = 0
     for _ in range(150):
