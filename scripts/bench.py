@@ -16,22 +16,11 @@ vertices in turn (a random spanning tree plus n..2n edges that close no
 triangle, the sizes where the solver's pick rule tells most).
 
 For each group and tree, ``measure`` builds the input from that tree
-untimed and runs the work once counted, under one ``sys.settrace``
-function; the trace function in place before, if any, is put back
-afterwards, and no function of indtree is rebound. The hook sees every
-Python call and counts by code object and the caller's file, both read
-from the tree being measured: ``canon.canonical_labeling`` called from
-``enumeration.py``, ``canon._search``, and ``canon._refine`` called from
-``canon.py``, the labeling search's nodes. Two more count enumeration's own
-work: ``canon._refine`` called from ``enumeration.py``, one per candidate
-child that is refined, and the sets that ``enumeration._independent_sets``
-returns for the last level of a walk, its candidate sets. Each
-``solver._search`` run with ``stop_at``, which only
-``exists_induced_tree_through`` runs, adds the search counters it returns
-to ``refuted``. The script exits, naming the function, when a tree lacks
-one of these, rather than count 0 calls. The hook makes the counted run
-slower, about 3.3 times a plain run for enumerate(10) on a 2-core Xeon
-under CPython 3.11.7, and is gone before any run is timed.
+untimed and runs the work once, counted by the differences it makes to
+the counters records ``COUNTERS`` of the tree's ``canon``, ``enumeration``
+and ``solver``; README's "Before/after measurements" describes the record
+and the row fields read from it. The script exits, naming the record, when
+a tree lacks one.
 
 ``paired`` then runs each tree's work once more, untimed, which sets how
 many times a timed run repeats the work, so that a timed run lasts at
@@ -40,21 +29,10 @@ which tree runs first from pair to pair. The two runs of a pair are
 adjacent in time, so a change in the host's speed between pairs falls on
 both, and the after/before ratio of each pair cancels it.
 
-Every row records the same fields: the canon calls, the enumeration
-counts, the solver calls, search nodes and prunings of each kind (rooted,
-unrooted, refuted), and a sha256 over the results, that is the emitted
-graph6 lines of a walk, or each solve's ``repr((kind, size, witness))``
-and each refutation's ``repr(("refuted", answer))``; the counters stay out
-of the digest, so a bound that prunes more keeps ``same_results``. A
-second sha256 covers the values alone, each solve's ``repr((kind, size))``
-and each refutation's answer, or a walk's emitted lines as above: a change
-of the branch vertex may return other witnesses of the same sizes, which
-moves the results digest but keeps ``same_values``. Counters and digests
-are exact and machine-independent. ``wall_s`` holds the seconds per run of
-the work in each pair, ``wall_s_median`` their median; each ``after`` row
-adds ``ratio_median``, the median over pairs of after over before, and
-``won``, the pairs in which after was faster. The wall times are recorded
-with the host that produced them.
+Every row records the same fields, those README lists: the exact
+counters and results digests, the same on any machine, and the host's wall
+times, ``wall_s`` per pair and their median, with ``ratio_median`` and
+``won`` in each ``after`` row.
 """
 
 from __future__ import annotations
@@ -94,7 +72,6 @@ EXACT = (
     "graphs", "canon", "enumeration", "rooted", "unrooted", "refuted",
     "results_sha256", "values_sha256",
 )
-KINDS = ("rooted", "unrooted", "refuted")
 RANDOM_SEED = 1
 RANDOM_GRAPHS = 24
 
@@ -170,7 +147,6 @@ def random_corpus(low: int, high: int) -> list:
 def measure(pkg: ModuleType, group: str) -> tuple[dict, Callable[[], list]]:
     """The row of exact fields of one group on the tree ``pkg``, from an
     untimed build and one counted run, and the group's work."""
-    canon, enumeration, solver = pkg.canon, pkg.enumeration, pkg.solver
     name, arg = group[:-1].split("(")
     n, _, high = arg.partition("..")  # random(16..18): orders 16 to 18
     n = int(n)
@@ -195,61 +171,18 @@ def measure(pkg: ModuleType, group: str) -> tuple[dict, Callable[[], list]]:
         def work():
             return solve_all(pkg, gs)
 
-    for module, fn_name in (
-        (canon, "canonical_labeling"), (canon, "_search"), (canon, "_refine"),
-        (enumeration, "_independent_sets"), (solver, "_search"),
-    ):
-        if not hasattr(module, fn_name):
-            sys.exit(f"{module.__name__}.{fn_name} is missing, so its calls cannot be counted")
-    labeling, labeling_search = canon.canonical_labeling.__code__, canon._search.__code__
-    refine, listing = canon._refine.__code__, enumeration._independent_sets.__code__
-    solver_search = solver._search.__code__
-    canon_file, enumeration_file = refine.co_filename, listing.co_filename
-    canon_counts = {"canonical_labeling": 0, "_search": 0, "_refine": 0}
-    enumeration_counts = {"_refine": 0, "leaf_sets": 0}
-    solver_counts = {kind: {"calls": 0, "nodes": 0, "prunings": 0} for kind in KINDS}
-    refuted = solver_counts["refuted"]
-
-    def listed(frame, event, arg):
-        if event == "return":
-            enumeration_counts["leaf_sets"] += len(arg)
-        return listed
-
-    def refuting(frame, event, arg):
-        if event == "return":
-            refuted["calls"] += 1
-            refuted["nodes"] += arg[2].nodes
-            refuted["prunings"] += arg[2].prunings
-        return refuting
-
-    def trace(frame, event, arg):
-        """The global trace function: called once per Python call."""
-        code = frame.f_code
-        if code is labeling_search:
-            canon_counts["_search"] += 1
-        elif code is labeling:
-            if frame.f_back.f_code.co_filename == enumeration_file:
-                canon_counts["canonical_labeling"] += 1
-        elif code is refine:
-            caller = frame.f_back.f_code.co_filename
-            if caller == canon_file:  # inside canon._search: a labeling search node
-                canon_counts["_refine"] += 1
-            elif caller == enumeration_file:
-                enumeration_counts["_refine"] += 1
-        elif code is listing and name == "enumerate" and frame.f_locals["g"].n + 1 == n:
-            frame.f_trace_lines = False
-            return listed
-        elif code is solver_search and frame.f_locals["stop_at"] is not None:
-            frame.f_trace_lines = False
-            return refuting
-        return None
-
-    previous = sys.gettrace()
-    sys.settrace(trace)
+    modules = (pkg.canon, pkg.enumeration, pkg.solver)
     try:
-        results = work()
-    finally:
-        sys.settrace(previous)
+        starts = [dict(module.COUNTERS) for module in modules]
+    except AttributeError as exc:
+        sys.exit(f"{exc}: the tree predates the counters record")
+    results = work()
+    # the run's work in canon, enumeration and solver: each record's differences
+    c, e, s = ({k: m.COUNTERS[k] - v for k, v in start.items()} for m, start in zip(modules, starts))
+    canon_counts = {"canonical_labeling": e["labelings"], "_search": c["searches"], "_refine": c["nodes"]}
+    enumeration_counts = {"_refine": e["refinements"], "leaf_sets": e["leaf_sets"]}
+    solver_counts = {kind: {"calls": 0, "nodes": 0, "prunings": 0} for kind in ("rooted", "unrooted")}
+    solver_counts["refuted"] = {k: s["exists_" + k] for k in ("calls", "nodes", "prunings")}
 
     digest = hashlib.sha256()
     values = hashlib.sha256()
@@ -366,19 +299,9 @@ def main() -> None:
                 file=sys.stderr,
             )
     report = {
-        "what": "per group: one enumerate_connected_triangle_free(n) walk, or max_induced_tree "
-        "once per graph and max_induced_tree_through and exists_induced_tree_through(rg, "
-        "t(G, v) + 1) at every root; canonical_labeling calls made from indtree.enumeration, "
-        "canon._search calls and the canon._refine calls made inside canon._search (the "
-        "labeling search's nodes), the canon._refine calls made from indtree.enumeration and "
-        "the sets enumeration._independent_sets lists for a walk's last level, solver calls, "
-        "search nodes and prunings of each kind (rooted, unrooted, refuted), sha256 over the "
-        "results, the counters left out, and sha256 over the values, the witnesses left out "
-        f"too (exact); both trees in one interpreter, timed in {PAIRS} pairs of runs that "
-        "alternate which tree runs first, each run repeating the work to last at least "
-        f"{FLOOR_S} s: seconds per work in each pair (wall_s) and their median, and in the "
-        "after rows the median over pairs of after / before (ratio_median) and the pairs "
-        "in which after was faster (won)",
+        "what": "per group: the row fields of README's 'Before/after measurements', "
+        f"exact counters and digests, then seconds per work in each of {PAIRS} pairs of "
+        "alternating runs",
         "host": host(),
         "pairs": PAIRS,
         "same_results": all(b["results_sha256"] == a["results_sha256"] for b, a in zip(before, after)),

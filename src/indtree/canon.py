@@ -31,6 +31,10 @@ from dataclasses import dataclass, field
 
 from .graph import Graph, GraphError, RootedGraph, bits
 
+# work done since import: labeling searches and their nodes (one per
+# refinement); read as differences around a run
+COUNTERS = {"searches": 0, "nodes": 0}
+
 
 @dataclass(frozen=True)
 class CanonicalForm:
@@ -272,6 +276,7 @@ def _search(
     best_inv: list[int] = []
     best_base: tuple[int, ...] = ()
     autos = list(seeds)
+    nodes = 0  # added to COUNTERS once, after the search
 
     def leaf(cells: list[int], base: tuple[int, ...]) -> int:
         """Record the leaf; return the depth of the node to resume at."""
@@ -320,6 +325,8 @@ def _search(
     ) -> int:
         """Search below the node ``base``; ``gens`` are the stored
         automorphisms that fix ``base``. Return the depth to resume at."""
+        nonlocal nodes
+        nodes += 1
         cells = _refine(adj, cells, stable)
         for target, cell in enumerate(cells):
             if cell & (cell - 1):  # the first cell of two or more vertices
@@ -361,6 +368,8 @@ def _search(
         return depth
 
     descend(list(init_cells), (), frozenset(), list(seeds))
+    COUNTERS["searches"] += 1
+    COUNTERS["nodes"] += nodes
     return best_code, tuple(best_perm), tuple(autos)
 
 

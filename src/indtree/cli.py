@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--k", type=int, help="index for gk/bk")
     c.add_argument("--m", type=int, help="side size for knn-minus-pm")
-    c.add_argument("--format", choices=("graph6", "edgelist"), default="graph6")
+    c.add_argument("--format", choices=("graph6", "edgelist"), help="default graph6")
     c.add_argument("--json", action="store_true")
 
     s = sub.add_parser("solve", help="compute the maximum induced tree")
@@ -119,7 +119,27 @@ def _check_budget(args: argparse.Namespace) -> None:
         raise GraphError(f"order {order} > {DEFAULT_MAX_N} needs --override-budget (up to {MAX_N})")
 
 
+def _reject_ignored_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Exit through ``parser.error`` on a flag that the chosen command would
+    ignore: construct's index of another family, or --format with --json;
+    verify's --max-n, --k or --override-budget for a claim that takes none."""
+    if args.command == "construct":
+        ignored = {"k" if args.family == "knn-minus-pm" else "m": f"--family {args.family}"}
+        if args.json:
+            ignored["format"] = "--json"
+    elif args.command == "verify":
+        takes = verify_mod.CLAIMS[args.claim]
+        names = ("k",) if "max_n" in takes else ("max_n", "k", "override_budget")
+        ignored = {name: f"--claim {args.claim}" for name in names if name not in takes}
+    else:
+        return
+    for name, owner in ignored.items():
+        if getattr(args, name) not in (None, False):
+            parser.error(f"{owner} takes no --{name.replace('_', '-')}")
+
+
 def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    _reject_ignored_flags(args, parser)
     _check_budget(args)
     if args.command == "construct":
         return _cmd_construct(args, parser)

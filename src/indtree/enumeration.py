@@ -42,6 +42,15 @@ from .graph import Graph, GraphError, _component_of
 
 MAX_N = 12
 
+# work done since import, read as differences around a run: the candidate
+# sets listed at the last level of a walk; the candidates, sets tried once
+# per orbit; the refinements, the partition's rejects, and the leaves accepted
+# by degree, by the new vertex alone in the last cell and by its false twins
+# filling that cell; the labelings of the rest
+COUNTERS = dict.fromkeys(
+    ("leaf_sets", "candidates", "refinements", "rejected", "degree", "settled", "twins", "labelings"), 0
+)
+
 Automorphisms = tuple[tuple[int, ...], ...]
 
 
@@ -122,7 +131,10 @@ def _children(
         if len(components) > 1 or not top:
             meet = components  # with one component only K1's empty set misses it
     tried: set[int] = set()  # every image of a tried set under autos
-    for s in _independent_sets(g, top, meet):
+    sets = _independent_sets(g, top, meet)
+    if leaves:
+        COUNTERS["leaf_sets"] += len(sets)
+    for s in sets:
         # new has degree |s| >= top; an old vertex has at most top + 1,
         # and top + 1 only when it is a vertex of top_mask in s
         size = s.bit_count()
@@ -130,6 +142,7 @@ def _children(
             continue  # an old vertex has a larger degree than new
         if s in tried:
             continue  # an automorphic image of a tried set
+        COUNTERS["candidates"] += 1
         tried |= _orbit(s, autos)
         rows = list(g.adj)
         rest = s
@@ -141,10 +154,13 @@ def _children(
         # symmetric and loop-free by construction, so Graph's checks are skipped
         child = Graph._trusted(m + 1, tuple(rows))
         if leaves and size > top + (s & top_mask != 0):
+            COUNTERS["degree"] += 1
             yield child, ()  # new alone has the largest degree
             continue
+        COUNTERS["refinements"] += 1
         last = _refine(child.adj, [child.full_mask], settle=1 << new)[-1]
         if not last >> new & 1:
+            COUNTERS["rejected"] += 1
             continue  # the last canonical vertex is in the last cell, new is not
         if leaves:
             rest = last ^ 1 << new
@@ -154,8 +170,10 @@ def _children(
                     break
                 rest ^= low
             else:
+                COUNTERS["twins" if last ^ 1 << new else "settled"] += 1
                 yield child, ()  # the last canonical vertex is new or its twin
                 continue
+        COUNTERS["labelings"] += 1
         form, perm = canonical_labeling(child)
         # new's orbit holds the vertex in the final canonical position
         if _closure(1 << new, form.automorphisms) >> perm.index(m) & 1:

@@ -16,6 +16,11 @@ from .graph import Graph, GraphError, RootedGraph, is_induced_tree, vertex_list
 
 _BRUTE_FORCE_MAX_N = 20
 
+# work done since import, read as differences around a run: the calls of
+# exists_induced_tree_through, whose bool answer drops its search counters,
+# and the nodes and prunings of those searches
+COUNTERS = {"exists_calls": 0, "exists_nodes": 0, "exists_prunings": 0}
+
 
 @dataclass(frozen=True)
 class SearchStats:
@@ -286,6 +291,9 @@ def exists_induced_tree_through(rg: RootedGraph, target: int) -> bool:
     if target < 1:
         raise GraphError(f"target must be >= 1, got {target}")
     size, witness, stats = _search(rg.graph, rg.root, stop_at=target)
+    COUNTERS["exists_calls"] += 1
+    COUNTERS["exists_nodes"] += stats.nodes
+    COUNTERS["exists_prunings"] += stats.prunings
     if size < target:
         return False
     _check_witness(rg.graph, TreeSearchResult(size, witness, rg.root, stats))

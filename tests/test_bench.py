@@ -15,10 +15,6 @@ from helpers import BENCH_SCRIPT, load_bench
 
 def test_group_rows_count_both_layers_and_repeat():
     bench = load_bench()
-    originals = [
-        enumeration.canonical_labeling, canon._search, canon._refine,
-        enumeration._refine, enumeration._independent_sets, solver._search,
-    ]
     no_solves = {"calls": 0, "nodes": 0, "prunings": 0}
 
     walk, _ = bench.measure(indtree, "enumerate(7)")
@@ -27,7 +23,7 @@ def test_group_rows_count_both_layers_and_repeat():
     assert walk["canon"] == {"canonical_labeling": 79, "_search": 79, "_refine": 337}
     # enumeration's refinements at every level, and the candidate sets of the last
     assert walk["enumeration"] == {"_refine": 118, "leaf_sets": 219}
-    assert all(walk[kind] == no_solves for kind in bench.KINDS)
+    assert all(walk[kind] == no_solves for kind in ("rooted", "unrooted", "refuted"))
 
     solves, _ = bench.measure(indtree, "knn_minus_pm(6)")
     assert solves["graphs"] == 1
@@ -52,12 +48,6 @@ def test_group_rows_count_both_layers_and_repeat():
         assert set(row) == {"group", *bench.EXACT}
         again, _ = bench.measure(indtree, row["group"])
         assert again == row
-
-    restored = [
-        enumeration.canonical_labeling, canon._search, canon._refine,
-        enumeration._refine, enumeration._independent_sets, solver._search,
-    ]
-    assert restored == originals
 
 
 def test_random_group_solves_triangle_free_graphs_on_16_to_18_vertices():
@@ -99,32 +89,23 @@ def test_a_tree_loaded_under_another_name_is_a_separate_package():
     try:
         assert twin.canon is not indtree.canon
         assert twin.Graph is not indtree.Graph
-        assert bench.measure(twin, "enumerate(7)")[0] == bench.measure(indtree, "enumerate(7)")[0]
+        records = [module.COUNTERS for module in (canon, enumeration, solver)]
+        kept = [dict(record) for record in records]
+        walk, _ = bench.measure(twin, "enumerate(7)")
+        solves, _ = bench.measure(twin, "knn_minus_pm(6)")
+        # the twin counts its own work, and leaves this tree's records unchanged
+        assert records == kept and solves["refuted"]["calls"] == 12
+        assert walk == bench.measure(indtree, "enumerate(7)")[0]
     finally:
         for name in [name for name in sys.modules if name.split(".")[0] == "indtree_twin"]:
             del sys.modules[name]
 
 
-def test_the_counted_run_restores_the_previous_trace_function():
+def test_a_tree_without_the_counters_record_stops_the_measurement(monkeypatch):
+    # a revision older than the record would otherwise count nothing
     bench = load_bench()
-
-    def sentinel(frame, event, arg):
-        return None
-
-    previous = sys.gettrace()
-    sys.settrace(sentinel)
-    try:
-        bench.measure(indtree, "enumerate(5)")
-        assert sys.gettrace() is sentinel
-    finally:
-        sys.settrace(previous)
-
-
-def test_a_missing_canon_function_stops_the_measurement(monkeypatch):
-    # a renamed function would otherwise count a plausible 0 calls
-    bench = load_bench()
-    monkeypatch.delattr(canon, "_refine")
-    with pytest.raises(SystemExit, match=r"canon\._refine"):
+    monkeypatch.delattr(enumeration, "COUNTERS")
+    with pytest.raises(SystemExit, match=r"'indtree\.enumeration' has no attribute 'COUNTERS'"):
         bench.measure(indtree, "enumerate(4)")
 
 

@@ -44,9 +44,9 @@ def test_construct_gk_json(capsys):
 @pytest.mark.parametrize(
     "argv, used, unused",
     [
-        (["--family", "gk", "--k", "3", "--m", "5"], ("k", 3), "m"),
-        (["--family", "bk", "--k", "3", "--m", "5"], ("k", 3), "m"),
-        (["--family", "knn-minus-pm", "--k", "3", "--m", "5"], ("m", 5), "k"),
+        (["--family", "gk", "--k", "3"], ("k", 3), "m"),
+        (["--family", "bk", "--k", "3"], ("k", 3), "m"),
+        (["--family", "knn-minus-pm", "--m", "5"], ("m", 5), "k"),
     ],
 )
 def test_construct_json_reports_only_the_family_parameter(capsys, argv, used, unused):
@@ -351,8 +351,29 @@ def test_verify_names_the_one_missing_flag(claim, missing, capsys):
     assert out == "" and err.splitlines()[-1].endswith(f"--claim {claim} needs {flag}")
 
 
-def test_counterexample_b5_ignores_max_n(capsys):
-    assert run(["verify", "--claim", "counterexample_b5", "--max-n", "12"]) == 0
+# argv, and the error that names the ignored flag
+IGNORED_FLAGS = {
+    "gk-m": ("construct --family gk --k 3 --m 5", "--family gk takes no --m"),
+    "knn-k": ("construct --family knn-minus-pm --m 5 --k 3", "--family knn-minus-pm takes no --k"),
+    "json-format": ("construct --family bk --k 3 --json --format edgelist", "--json takes no --format"),
+    "counterexample_b5-max-n": (
+        "verify --claim counterexample_b5 --max-n 12", "--claim counterexample_b5 takes no --max-n"
+    ),
+    "counterexample_b5-override-budget": (
+        "verify --claim counterexample_b5 --override-budget",
+        "--claim counterexample_b5 takes no --override-budget",
+    ),
+    "theorem1-k": ("verify --claim theorem1 --max-n 3 --k 3", "--claim theorem1 takes no --k"),
+}
+
+
+@pytest.mark.parametrize("argv, message", IGNORED_FLAGS.values(), ids=IGNORED_FLAGS)
+def test_a_flag_the_command_ignores_exits_two(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv.split())
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1].endswith(message)
 
 
 def test_verify_falsified_claim_exits_one(capsys, monkeypatch):

@@ -407,67 +407,23 @@ DECIDED = {7: (337, 219, 24, 8, 29, 7), 8: (1139, 931, 140, 55, 122, 19)}
 
 
 @pytest.mark.parametrize("n, partitions, labelings", [(7, 118, 79), (8, 456, 242)])
-def test_work_per_walk_is_pinned(monkeypatch, n, partitions, labelings):
+def test_work_per_walk_is_pinned(n, partitions, labelings):
     # candidates that pass the degree and orbit tests, those of them that
     # reach the equitable partition, those that only canon's search can
     # decide, that search's nodes (its refinements) and the candidates that
     # the partition or a leaf shortcut decides
     nodes, sets, rejected, settled, degree, twins = DECIDED[n]
-    calls = collections.Counter()
-    refine, label, search_refine = enumeration._refine, enumeration.canonical_labeling, canon._refine
-    independent_sets, orbit, children = enumeration._independent_sets, enumeration._orbit, enumeration._children
-    refined = {}  # keeps every refined child's rows alive, so ids stay distinct
-
-    def listing(g, *args):
-        out = independent_sets(g, *args)
-        if g.n + 1 == n:
-            calls["sets"] += len(out)
-        return out
-
-    def trying(s, autos):
-        calls["candidates"] += 1
-        return orbit(s, autos)
-
-    def partition(adj, cells, stable=frozenset(), settle=0):
-        calls["partitions"] += 1
-        refined[id(adj)] = adj
-        cells = refine(adj, cells, stable, settle)
-        last = cells[-1]
-        if not last & settle:
-            calls["rejected"] += 1
-        elif len(adj) == n:
-            if last == settle:
-                calls["settled"] += 1
-            elif all(adj[u] == adj[-1] for u in range(n - 1) if last >> u & 1):
-                calls["twins"] += 1
-        return cells
-
-    def labeling(*args):
-        calls["labelings"] += 1
-        return label(*args)
-
-    def node(*args):
-        calls["nodes"] += 1
-        return search_refine(*args)
-
-    def accepting(g, autos, leaves):
-        for child, child_autos in children(g, autos, leaves):
-            if id(child.adj) not in refined:
-                assert leaves and child_autos == ()
-                calls["degree"] += 1
-            yield child, child_autos
-
-    monkeypatch.setattr(enumeration, "_independent_sets", listing)
-    monkeypatch.setattr(enumeration, "_orbit", trying)
-    monkeypatch.setattr(enumeration, "_refine", partition)
-    monkeypatch.setattr(enumeration, "canonical_labeling", labeling)
-    monkeypatch.setattr(enumeration, "_children", accepting)
-    monkeypatch.setattr(canon, "_refine", node)
+    starts = dict(enumeration.COUNTERS), dict(canon.COUNTERS)
     sum(1 for _ in enumerate_connected_triangle_free(n))
+    walk, search = (
+        {k: v - start[k] for k, v in record.items()}
+        for record, start in zip((enumeration.COUNTERS, canon.COUNTERS), starts)
+    )
     candidates = partitions + degree
-    assert calls == {
-        "sets": sets, "candidates": candidates, "partitions": partitions,
-        "labelings": labelings, "nodes": nodes, "rejected": rejected,
-        "settled": settled, "degree": degree, "twins": twins,
+    assert walk == {
+        "leaf_sets": sets, "candidates": candidates, "refinements": partitions,
+        "rejected": rejected, "degree": degree, "settled": settled, "twins": twins,
+        "labelings": labelings,
     }
+    assert search == {"searches": labelings, "nodes": nodes}
     assert candidates == degree + rejected + settled + twins + labelings

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import indtree
 
+from helpers import BENCH_SCRIPT
+
 SRC = Path(indtree.__file__).resolve().parent
 
 # module -> the package modules it may import from
@@ -45,10 +47,11 @@ def test_nothing_imports_cli():
 
 
 def test_no_module_asserts():
-    """``python -O`` strips assert statements, so no check may be one."""
+    """``python -O`` strips assert statements, so no check may be one; the
+    bench's guards must hold under it too."""
     asserting = [
         path.name
-        for path in sorted(SRC.glob("*.py"))
+        for path in [*sorted(SRC.glob("*.py")), BENCH_SCRIPT]
         if any(isinstance(node, ast.Assert) for node in ast.walk(ast.parse(path.read_text())))
     ]
     assert asserting == []
