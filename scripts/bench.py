@@ -180,7 +180,9 @@ def measure(pkg: ModuleType, group: str) -> tuple[dict, Callable[[], list]]:
     # the run's work in canon, enumeration and solver: each record's differences
     c, e, s = ({k: m.COUNTERS[k] - v for k, v in start.items()} for m, start in zip(modules, starts))
     canon_counts = {"canonical_labeling": e["labelings"], "_search": c["searches"], "_refine": c["nodes"]}
-    enumeration_counts = {"_refine": e["refinements"], "leaf_sets": e["leaf_sets"]}
+    # the candidates refined, each of them rejected, settled, twins or labeled
+    refined = e["rejected"] + e["settled"] + e["twins"] + e["labelings"]
+    enumeration_counts = {"_refine": refined, "leaf_sets": e["leaf_sets"]}
     solver_counts = {kind: {"calls": 0, "nodes": 0, "prunings": 0} for kind in ("rooted", "unrooted")}
     solver_counts["refuted"] = {k: s["exists_" + k] for k in ("calls", "nodes", "prunings")}
 

@@ -9,6 +9,8 @@ subcommands pipe into each other.
 The library walks any order in 1..MAX_N (12); the budget is this module's:
 enumerate, tabulate and verify stop at order DEFAULT_MAX_N (11) unless given
 --override-budget, since n = 12 runs far longer than n = 11.
+The flags a family or claim takes come from FAMILIES and verify.CLAIMS; one
+check, ``_check_flags``, refuses every other flag and every missing one.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ from .verify import EnumerationReport, tabulate
 
 DEFAULT_MAX_N = 11
 
+# family -> the flag that indexes it and the order of the graph it builds
+FAMILIES = {
+    "gk": ("k", g_k_order),
+    "bk": ("k", b_k_order),
+    "knn-minus-pm": ("m", lambda m: 2 * m),
+}
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -41,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="build one of the extremal families")
     c.add_argument(
-        "--family", required=True, choices=("gk", "bk", "knn-minus-pm"),
+        "--family", required=True, choices=FAMILIES,
     )
     c.add_argument("--k", type=int, help="index for gk/bk")
     c.add_argument("--m", type=int, help="side size for knn-minus-pm")
@@ -82,7 +91,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
-        code = _dispatch(args, parser)
+        _check_flags(args, parser)
+        code = _dispatch(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -109,40 +119,36 @@ def main() -> None:
     sys.exit(run())
 
 
-def _check_budget(args: argparse.Namespace) -> None:
-    """Refuse an order above DEFAULT_MAX_N unless --override-budget is given."""
-    if args.command == "verify":
-        order = args.max_n if "max_n" in verify_mod.CLAIMS[args.claim] else None
-    else:
-        order = getattr(args, "n", None)
-    if order is not None and order > DEFAULT_MAX_N and not args.override_budget:
-        raise GraphError(f"order {order} > {DEFAULT_MAX_N} needs --override-budget (up to {MAX_N})")
-
-
-def _reject_ignored_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Exit through ``parser.error`` on a flag that the chosen command would
-    ignore: construct's index of another family, or --format with --json;
-    verify's --max-n, --k or --override-budget for a claim that takes none."""
+def _check_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
+    """Exit through ``parser.error`` on a flag the command would ignore, then
+    raise GraphError on an order above DEFAULT_MAX_N without
+    --override-budget, then exit through ``parser.error`` on a flag that the
+    family or claim needs."""
+    needs: tuple[str, ...] = ()
+    ignored = {}
     if args.command == "construct":
-        ignored = {"k" if args.family == "knn-minus-pm" else "m": f"--family {args.family}"}
+        owner, needs = f"--family {args.family}", (FAMILIES[args.family][0],)
+        ignored = {name: owner for name in ("k", "m") if name not in needs}
         if args.json:
             ignored["format"] = "--json"
     elif args.command == "verify":
-        takes = verify_mod.CLAIMS[args.claim]
-        names = ("k",) if "max_n" in takes else ("max_n", "k", "override_budget")
-        ignored = {name: f"--claim {args.claim}" for name in names if name not in takes}
-    else:
-        return
-    for name, owner in ignored.items():
+        owner, needs = f"--claim {args.claim}", verify_mod.CLAIMS[args.claim]
+        takes = needs + ("override_budget",) if "max_n" in needs else needs
+        ignored = {name: owner for name in ("max_n", "k", "override_budget") if name not in takes}
+    for name, by in ignored.items():
         if getattr(args, name) not in (None, False):
-            parser.error(f"{owner} takes no --{name.replace('_', '-')}")
+            parser.error(f"{by} takes no --{name.replace('_', '-')}")
+    order = args.max_n if "max_n" in needs else getattr(args, "n", None)
+    if order is not None and order > DEFAULT_MAX_N and not args.override_budget:
+        raise GraphError(f"order {order} > {DEFAULT_MAX_N} needs --override-budget (up to {MAX_N})")
+    for name in needs:
+        if getattr(args, name) is None:
+            parser.error(f"{owner} needs --{name.replace('_', '-')}")
 
 
-def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    _reject_ignored_flags(args, parser)
-    _check_budget(args)
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "construct":
-        return _cmd_construct(args, parser)
+        return _cmd_construct(args)
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "enumerate":
@@ -157,7 +163,7 @@ def _dispatch(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             _print_tabulate(rep)
         return 0
     if args.command == "verify":
-        return _cmd_verify(args, parser)
+        return _cmd_verify(args)
     raise AssertionError(f"unhandled command {args.command}")
 
 
@@ -174,31 +180,21 @@ def _print_tabulate(rep: EnumerationReport) -> None:
     print(f"elapsed: {rep.elapsed:.3f}")
 
 
-def _cmd_construct(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    param = "m" if args.family == "knn-minus-pm" else "k"
+def _cmd_construct(args: argparse.Namespace) -> int:
+    param, order = FAMILIES[args.family]
     value = getattr(args, param)
-    if value is None:
-        parser.error(f"--family {args.family} needs --{param}")
     # refuse before building what the CLI could not read back; a non-positive
     # index is left to the builder's own check
-    order = {
-        "gk": g_k_order(value),
-        "bk": b_k_order(value),
-        "knn-minus-pm": 2 * value,
-    }[args.family]
-    if value > 0 and order > MAX_EDGE_LIST_N:
+    if value > 0 and order(value) > MAX_EDGE_LIST_N:
         raise GraphError(
-            f"--family {args.family} --{param} {value} has {order} vertices, "
+            f"--family {args.family} --{param} {value} has {order(value)} vertices, "
             f"above the limit {MAX_EDGE_LIST_N}"
         )
+    # looked up per call, so that a builder rebound on this module is the one called
+    g = {"gk": build_g_k, "bk": build_b_k, "knn-minus-pm": build_knn_minus_pm}[args.family](value)
     root = None
-    if args.family == "gk":
-        rg = build_g_k(value)
-        g, root = rg.graph, rg.root
-    elif args.family == "bk":
-        g = build_b_k(value)
-    else:
-        g = build_knn_minus_pm(value)
+    if isinstance(g, RootedGraph):
+        g, root = g.graph, g.root
     if args.json:
         out = {"family": args.family, "n": g.n, "graph6": to_graph6(g).decode("ascii")}
         out[param] = value
@@ -257,11 +253,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     values = {name: getattr(args, name) for name in verify_mod.CLAIMS[args.claim]}
-    for name, value in values.items():
-        if value is None:
-            parser.error(f"--claim {args.claim} needs --{name.replace('_', '-')}")
     rep = getattr(verify_mod, f"verify_{args.claim}")(**values)
     if args.json:
         print(json.dumps(rep.to_json_dict(), indent=2))

@@ -43,13 +43,12 @@ from .graph import Graph, GraphError, _component_of
 MAX_N = 12
 
 # work done since import, read as differences around a run: the candidate
-# sets listed at the last level of a walk; the candidates, sets tried once
-# per orbit; the refinements, the partition's rejects, and the leaves accepted
-# by degree, by the new vertex alone in the last cell and by its false twins
-# filling that cell; the labelings of the rest
-COUNTERS = dict.fromkeys(
-    ("leaf_sets", "candidates", "refinements", "rejected", "degree", "settled", "twins", "labelings"), 0
-)
+# sets listed at the last level of a walk; the leaves accepted by degree;
+# the partition's rejects, and the leaves accepted by the new vertex alone
+# in the last cell and by its false twins filling that cell; the labelings
+# of the rest. Each candidate takes one of these decisions, so sums of them
+# count the candidates and those refined
+COUNTERS = dict.fromkeys(("leaf_sets", "degree", "rejected", "settled", "twins", "labelings"), 0)
 
 Automorphisms = tuple[tuple[int, ...], ...]
 
@@ -142,7 +141,6 @@ def _children(
             continue  # an old vertex has a larger degree than new
         if s in tried:
             continue  # an automorphic image of a tried set
-        COUNTERS["candidates"] += 1
         tried |= _orbit(s, autos)
         rows = list(g.adj)
         rest = s
@@ -157,7 +155,6 @@ def _children(
             COUNTERS["degree"] += 1
             yield child, ()  # new alone has the largest degree
             continue
-        COUNTERS["refinements"] += 1
         last = _refine(child.adj, [child.full_mask], settle=1 << new)[-1]
         if not last >> new & 1:
             COUNTERS["rejected"] += 1

@@ -67,10 +67,13 @@ def test_construct_knn(capsys):
     assert g.n == 10 and g.edge_count == 20
 
 
-def test_construct_missing_parameter():
-    with pytest.raises(SystemExit) as exc:
-        run(["construct", "--family", "gk"])
-    assert exc.value.code == 2
+def test_construct_missing_parameter(capsys):
+    for family, flag in (("gk", "--k"), ("bk", "--k"), ("knn-minus-pm", "--m")):
+        with pytest.raises(SystemExit) as exc:
+            run(["construct", "--family", family])
+        assert exc.value.code == 2
+        # the usage line names every flag, so only the last line tells
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"--family {family} needs {flag}")
 
 
 def test_run_after_a_usage_error_parses_afresh(tmp_path, capsys):
@@ -234,7 +237,11 @@ def refuse_walks(monkeypatch):
     monkeypatch.setattr(verify_mod, "verify_theorem1", walk)
 
 
-@pytest.mark.parametrize("argv", ORDER_ARGV)
+@pytest.mark.parametrize(
+    "argv",
+    # the budget is checked before a missing --k
+    ORDER_ARGV + (["verify", "--claim", "diameter_remark", "--max-n"],),
+)
 def test_order_12_needs_the_budget_flag(argv, capsys, monkeypatch):
     refuse_walks(monkeypatch)
     assert run(argv + ["12"]) == 2
@@ -364,6 +371,8 @@ IGNORED_FLAGS = {
         "--claim counterexample_b5 takes no --override-budget",
     ),
     "theorem1-k": ("verify --claim theorem1 --max-n 3 --k 3", "--claim theorem1 takes no --k"),
+    # an ignored flag is named before a missing one
+    "gk-m-no-k": ("construct --family gk --m 5", "--family gk takes no --m"),
 }
 
 

@@ -421,9 +421,11 @@ def test_work_per_walk_is_pinned(n, partitions, labelings):
     )
     candidates = partitions + degree
     assert walk == {
-        "leaf_sets": sets, "candidates": candidates, "refinements": partitions,
-        "rejected": rejected, "degree": degree, "settled": settled, "twins": twins,
+        "leaf_sets": sets, "degree": degree, "rejected": rejected, "settled": settled, "twins": twins,
         "labelings": labelings,
     }
     assert search == {"searches": labelings, "nodes": nodes}
+    # the record keeps no sums: each refined candidate is rejected, settled,
+    # twins or labeled, and each other candidate is accepted by degree
+    assert partitions == rejected + settled + twins + labelings
     assert candidates == degree + rejected + settled + twins + labelings
