@@ -18,9 +18,9 @@ triangle, the sizes where the solver's pick rule tells most).
 For each group and tree, ``measure`` builds the input from that tree
 untimed and runs the work once, counted by the differences it makes to
 the counters records ``COUNTERS`` of the tree's ``canon``, ``enumeration``
-and ``solver``; README's "Before/after measurements" describes the record
-and the row fields read from it. The script exits, naming the record, when
-a tree lacks one.
+and ``solver``, which the row holds as they stand under those three names;
+README's "Before/after measurements" describes the records. The script
+exits, naming the record, when a tree lacks one.
 
 ``paired`` then runs each tree's work once more, untimed, which sets how
 many times a timed run repeats the work, so that a timed run lasts at
@@ -68,10 +68,7 @@ PAIRS = 30
 # the 3-10 ms groups are not timed at the clock's and the scheduler's grain
 FLOOR_S = 0.05
 # the row fields that are the same on any machine
-EXACT = (
-    "graphs", "canon", "enumeration", "rooted", "unrooted", "refuted",
-    "results_sha256", "values_sha256",
-)
+EXACT = ("graphs", "canon", "enumeration", "solver", "results_sha256", "values_sha256")
 RANDOM_SEED = 1
 RANDOM_GRAPHS = 24
 
@@ -177,42 +174,26 @@ def measure(pkg: ModuleType, group: str) -> tuple[dict, Callable[[], list]]:
     except AttributeError as exc:
         sys.exit(f"{exc}: the tree predates the counters record")
     results = work()
+    row = {"group": group, "graphs": len(results) if name == "enumerate" else len(gs)}
     # the run's work in canon, enumeration and solver: each record's differences
-    c, e, s = ({k: m.COUNTERS[k] - v for k, v in start.items()} for m, start in zip(modules, starts))
-    canon_counts = {"canonical_labeling": e["labelings"], "_search": c["searches"], "_refine": c["nodes"]}
-    # the candidates refined, each of them rejected, settled, twins or labeled
-    refined = e["rejected"] + e["settled"] + e["twins"] + e["labelings"]
-    enumeration_counts = {"_refine": refined, "leaf_sets": e["leaf_sets"]}
-    solver_counts = {kind: {"calls": 0, "nodes": 0, "prunings": 0} for kind in ("rooted", "unrooted")}
-    solver_counts["refuted"] = {k: s["exists_" + k] for k in ("calls", "nodes", "prunings")}
+    for layer, module, start in zip(("canon", "enumeration", "solver"), modules, starts):
+        row[layer] = {k: module.COUNTERS[k] - v for k, v in start.items()}
 
     digest = hashlib.sha256()
     values = hashlib.sha256()
     for r in results:
         if name == "enumerate":
-            line = pkg.to_graph6(r) + b"\n"
-            digest.update(line)
-            values.update(line)
-            continue
-        if isinstance(r, bool):
-            digest.update(repr(("refuted", r)).encode())
-            values.update(repr(("refuted", r)).encode())
-            continue
-        kind = "unrooted" if r.required_root is None else "rooted"
-        solver_counts[kind]["calls"] += 1
-        solver_counts[kind]["nodes"] += r.stats.nodes
-        solver_counts[kind]["prunings"] += r.stats.prunings
-        digest.update(repr((kind, r.size, r.witness)).encode())
-        values.update(repr((kind, r.size)).encode())
-    row = {
-        "group": group,
-        "graphs": len(results) if name == "enumerate" else len(gs),
-        "canon": canon_counts,
-        "enumeration": enumeration_counts,
-        **solver_counts,
-        "results_sha256": digest.hexdigest(),
-        "values_sha256": values.hexdigest(),
-    }
+            result = value = pkg.to_graph6(r) + b"\n"
+        elif isinstance(r, bool):
+            result = value = repr(("refuted", r)).encode()
+        else:
+            kind = "unrooted" if r.required_root is None else "rooted"
+            result = repr((kind, r.size, r.witness)).encode()
+            value = repr((kind, r.size)).encode()
+        digest.update(result)
+        values.update(value)
+    row["results_sha256"] = digest.hexdigest()
+    row["values_sha256"] = values.hexdigest()
     return row, work
 
 

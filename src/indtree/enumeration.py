@@ -42,13 +42,13 @@ from .graph import Graph, GraphError, _component_of
 
 MAX_N = 12
 
-# work done since import, read as differences around a run: the candidate
-# sets listed at the last level of a walk; the leaves accepted by degree;
-# the partition's rejects, and the leaves accepted by the new vertex alone
-# in the last cell and by its false twins filling that cell; the labelings
-# of the rest. Each candidate takes one of these decisions, so sums of them
-# count the candidates and those refined
-COUNTERS = dict.fromkeys(("leaf_sets", "degree", "rejected", "settled", "twins", "labelings"), 0)
+# work done since import, read as differences around a run: the walks
+# started; the candidate sets listed at the last level of a walk; the
+# leaves accepted by degree; the partition's rejects, and the leaves
+# accepted by the new vertex alone in the last cell and by its false twins
+# filling that cell; the labelings of the rest. Each candidate takes one of
+# these decisions, so sums of them count the candidates and those refined
+COUNTERS = dict.fromkeys(("walks", "leaf_sets", "degree", "rejected", "settled", "twins", "labelings"), 0)
 
 Automorphisms = tuple[tuple[int, ...], ...]
 
@@ -66,6 +66,7 @@ def enumerate_connected_triangle_free(n: int) -> Iterator[Graph]:
     Emission order is deterministic.
     """
     _check_order(n)
+    COUNTERS["walks"] += 1
     yield from _extend(Graph.from_edge_list(1, []), (), n)
 
 

@@ -16,10 +16,16 @@ from .graph import Graph, GraphError, RootedGraph, is_induced_tree, vertex_list
 
 _BRUTE_FORCE_MAX_N = 20
 
-# work done since import, read as differences around a run: the calls of
-# exists_induced_tree_through, whose bool answer drops its search counters,
-# and the nodes and prunings of those searches
-COUNTERS = {"exists_calls": 0, "exists_nodes": 0, "exists_prunings": 0}
+# work done since import, read as differences around a run: per entry point,
+# rooted (max_induced_tree_through), unrooted (max_induced_tree, one call
+# however many roots it searches) and exists (exists_induced_tree_through),
+# its calls and the nodes and prunings of their searches. The keys are
+# literals, which are interned, so the increments below match them by identity
+COUNTERS = {
+    "rooted_calls": 0, "rooted_nodes": 0, "rooted_prunings": 0,
+    "unrooted_calls": 0, "unrooted_nodes": 0, "unrooted_prunings": 0,
+    "exists_calls": 0, "exists_nodes": 0, "exists_prunings": 0,
+}
 
 
 @dataclass(frozen=True)
@@ -246,6 +252,9 @@ def _search(
 def max_induced_tree_through(rg: RootedGraph) -> TreeSearchResult:
     """t(G, v): largest induced tree containing the root."""
     size, witness, stats = _search(rg.graph, rg.root)
+    COUNTERS["rooted_calls"] += 1
+    COUNTERS["rooted_nodes"] += stats.nodes
+    COUNTERS["rooted_prunings"] += stats.prunings
     result = TreeSearchResult(size, witness, rg.root, stats)
     _check_witness(rg.graph, result)
     return result
@@ -276,6 +285,9 @@ def max_induced_tree(g: Graph) -> TreeSearchResult:
         if size > best_size:
             best_size = size
             best_set = witness
+    COUNTERS["unrooted_calls"] += 1
+    COUNTERS["unrooted_nodes"] += nodes
+    COUNTERS["unrooted_prunings"] += prunings
     result = TreeSearchResult(best_size, best_set, None, SearchStats(nodes, prunings))
     _check_witness(g, result)
     return result

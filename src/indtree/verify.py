@@ -87,53 +87,54 @@ def t3_star_formula(n: int) -> int:
     return k
 
 
-def rooted_census(n: int) -> Iterator[tuple[Graph, str, tuple[int, ...]]]:
-    """Yield (g, graph6, sizes) for every class on n vertices, sizes[v] = t(G, v).
+def rooted_census(n: int) -> Iterator[tuple[Graph, tuple[int, ...]]]:
+    """Yield (g, sizes) for every class on n vertices, sizes[v] = t(G, v).
 
     One enumeration walk and one rooted solve per (G, v). Every exhaustive
     claim over rooted graphs reads this stream; t(G) is max(sizes).
     """
     for g in enumerate_connected_triangle_free(n):
-        g6 = to_graph6(g).decode("ascii")
-        yield g, g6, tuple(max_induced_tree_through(RootedGraph(g, v)).size for v in range(n))
+        yield g, tuple(max_induced_tree_through(RootedGraph(g, v)).size for v in range(n))
 
 
 def tabulate(n: int) -> EnumerationReport:
     """Exact t3(n) and t3_star(n) with every extremal witness.
 
     One pass over rooted_census: every vertex of every graph is tried as the
-    root, and t(G) is the largest of those rooted values.
+    root, and t(G) is the largest of those rooted values. The extremal
+    graphs are kept as they come and encoded as graph6 once each, at the end.
     """
     start = time.perf_counter()
     seen = 0
     t3 = n + 1
     t3s = n + 1
-    ext_unrooted: list[str] = []
-    ext_rooted: list[tuple[str, int]] = []
-    for _, g6, sizes in rooted_census(n):
+    ext_unrooted: list[Graph] = []
+    ext_rooted: list[tuple[Graph, int]] = []
+    for g, sizes in rooted_census(n):
         seen += 1
         tg = max(sizes)
         if tg < t3:
             t3 = tg
-            ext_unrooted = [g6]
+            ext_unrooted = [g]
         elif tg == t3:
-            ext_unrooted.append(g6)
+            ext_unrooted.append(g)
         for v, tv in enumerate(sizes):
             if tv < t3s:
                 t3s = tv
-                ext_rooted = [(g6, v)]
+                ext_rooted = [(g, v)]
             elif tv == t3s:
-                ext_rooted.append((g6, v))
+                ext_rooted.append((g, v))
     if seen == 0:
         raise AssertionError(f"no connected triangle-free graphs on {n} vertices")
+    g6 = {g: to_graph6(g).decode("ascii") for g in ext_unrooted + [g for g, _ in ext_rooted]}
     return EnumerationReport(
         n=n,
         graphs_seen=seen,
         t3=t3,
         t3_star=t3s,
         t3_star_formula=t3_star_formula(n),
-        extremal_rooted=tuple(sorted(ext_rooted)),
-        extremal_unrooted=tuple(sorted(ext_unrooted)),
+        extremal_rooted=tuple(sorted((g6[g], v) for g, v in ext_rooted)),
+        extremal_unrooted=tuple(sorted(g6[g] for g in ext_unrooted)),
         elapsed=time.perf_counter() - start,
     )
 
@@ -234,7 +235,7 @@ def _verify_rooted(
     instances = 0
     failures: list[FailureRecord] = []
     for n in range(1, max_n + 1):
-        for g, _, sizes in rooted_census(n):
+        for g, sizes in rooted_census(n):
             instances += n
             for v, k in enumerate(sizes):
                 record = failure(g, v, k)
@@ -281,7 +282,7 @@ def verify_corollary(max_n: int) -> VerificationReport:
     for n in range(1, max_n + 1):
         rep = tabulate(n)
         instances += rep.graphs_seen
-        g6_any = rep.extremal_rooted[0][0] if rep.extremal_rooted else ""
+        g6_any = rep.extremal_rooted[0][0]
         if rep.t3_star != rep.t3_star_formula:
             failures.append(_failure(g6_any, n=n, t3_star=rep.t3_star, formula=rep.t3_star_formula))
         if rep.t3_star > rep.t3:

@@ -15,22 +15,25 @@ from helpers import BENCH_SCRIPT, load_bench
 
 def test_group_rows_count_both_layers_and_repeat():
     bench = load_bench()
-    no_solves = {"calls": 0, "nodes": 0, "prunings": 0}
 
     walk, _ = bench.measure(indtree, "enumerate(7)")
     assert walk["graphs"] == 59
-    # canon._refine counts only the refinements inside canon._search: its nodes
-    assert walk["canon"] == {"canonical_labeling": 79, "_search": 79, "_refine": 337}
-    # enumeration's refinements at every level, and the candidate sets of the last
-    assert walk["enumeration"] == {"_refine": 118, "leaf_sets": 219}
-    assert all(walk[kind] == no_solves for kind in ("rooted", "unrooted", "refuted"))
+    # the rows hold each layer's record differences under the record's names:
+    # canon's searches, one per labeling enumeration makes, and their nodes
+    assert walk["canon"] == {"searches": 79, "nodes": 337}
+    e = walk["enumeration"]
+    assert e["walks"] == 1 and e["labelings"] == 79 and e["leaf_sets"] == 219
+    # enumeration's refinements at every level: each refined candidate is
+    # rejected, settled, twins or labeled
+    assert e["rejected"] + e["settled"] + e["twins"] + e["labelings"] == 118
+    assert set(walk["solver"].values()) == {0}
 
     solves, _ = bench.measure(indtree, "knn_minus_pm(6)")
     assert solves["graphs"] == 1
-    assert solves["rooted"]["calls"] == 12 and solves["unrooted"]["calls"] == 1
+    s = solves["solver"]
+    assert s["rooted_calls"] == 12 and s["unrooted_calls"] == 1
     # one refutation at t(G, v) + 1 per root, each an exhaustive search
-    refuted = solves["refuted"]
-    assert refuted["calls"] == 12 and refuted["nodes"] == 2 * refuted["prunings"] - 12
+    assert s["exists_calls"] == 12 and s["exists_nodes"] == 2 * s["exists_prunings"] - 12
     assert set(solves["canon"].values()) == set(solves["enumeration"].values()) == {0}
 
     # a walk has no witnesses, so its values are its results; a solve's
@@ -60,8 +63,8 @@ def test_random_group_solves_triangle_free_graphs_on_16_to_18_vertices():
         assert g.n - 1 < g.edge_count <= 3 * g.n - 1
     assert [g.adj for g in bench.random_corpus(16, 18)] == [g.adj for g in gs]
     row, _ = bench.measure(indtree, "random(16..18)")
-    assert row["graphs"] == 24 and row["unrooted"]["calls"] == 24
-    assert row["rooted"]["calls"] == row["refuted"]["calls"] == 8 * (16 + 17 + 18)
+    assert row["graphs"] == 24 and row["solver"]["unrooted_calls"] == 24
+    assert row["solver"]["rooted_calls"] == row["solver"]["exists_calls"] == 8 * (16 + 17 + 18)
     assert row["values_sha256"] != row["results_sha256"]
 
 
@@ -94,7 +97,7 @@ def test_a_tree_loaded_under_another_name_is_a_separate_package():
         walk, _ = bench.measure(twin, "enumerate(7)")
         solves, _ = bench.measure(twin, "knn_minus_pm(6)")
         # the twin counts its own work, and leaves this tree's records unchanged
-        assert records == kept and solves["refuted"]["calls"] == 12
+        assert records == kept and solves["solver"]["exists_calls"] == 12
         assert walk == bench.measure(indtree, "enumerate(7)")[0]
     finally:
         for name in [name for name in sys.modules if name.split(".")[0] == "indtree_twin"]:

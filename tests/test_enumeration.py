@@ -421,8 +421,8 @@ def test_work_per_walk_is_pinned(n, partitions, labelings):
     )
     candidates = partitions + degree
     assert walk == {
-        "leaf_sets": sets, "degree": degree, "rejected": rejected, "settled": settled, "twins": twins,
-        "labelings": labelings,
+        "walks": 1, "leaf_sets": sets, "degree": degree, "rejected": rejected, "settled": settled,
+        "twins": twins, "labelings": labelings,
     }
     assert search == {"searches": labelings, "nodes": nodes}
     # the record keeps no sums: each refined candidate is rejected, settled,

@@ -19,6 +19,7 @@ from indtree import (
     is_triangle_free,
     max_induced_tree,
     max_induced_tree_through,
+    solver,
 )
 from indtree.solver import _search
 
@@ -101,6 +102,32 @@ def test_matches_brute_force_exhaustive_small(enum_cache):
                 )
 
 
+def all_roots_subset_scan(g):
+    """t(G, v) for every root, from one scan of the 2^n vertex subsets that
+    uses only is_induced_tree. A subset is tested only if some vertex in it
+    has no tree of that size or larger yet; a tree found lifts all of its
+    vertices to its size."""
+    n = g.n
+    short = [g.full_mask] * (n + 1)  # short[k]: the vertices with no tree of >= k vertices yet
+    for s in range(1, 1 << n):
+        k = s.bit_count()
+        if s & short[k] and is_induced_tree(g, s):
+            for j in range(1, k + 1):
+                short[j] &= ~s
+    return [sum(not short[k] >> v & 1 for k in range(1, n + 1)) for v in range(n)]
+
+
+@pytest.mark.parametrize("n, roots", [(9, 12420), pytest.param(10, 98320, marks=pytest.mark.slow)])
+def test_all_roots_subset_scan_matches_the_census(n, roots, enum_cache):
+    # an oracle that shares nothing with the search but the predicate, at
+    # every root of the census
+    checked = 0
+    for g in enum_cache(n):
+        assert all_roots_subset_scan(g) == [max_induced_tree_through(RootedGraph(g, v)).size for v in range(n)]
+        checked += n
+    assert checked == roots
+
+
 def test_t_equals_n_iff_tree(enum_cache):
     for n in range(1, 7):
         for g in enum_cache(n):
@@ -167,6 +194,38 @@ def test_deterministic():
     assert max_induced_tree_through(RootedGraph(g, 3)) == max_induced_tree_through(
         RootedGraph(g, 3)
     )
+
+
+def test_every_entry_point_counts_its_calls_and_search_in_the_record():
+    # each call adds (1, nodes, prunings) of its search under its own kind and
+    # leaves the other six fields as they are; max_induced_tree is one call
+    # however many roots it searches
+    def counted(call):
+        start = dict(solver.COUNTERS)
+        result = call()
+        return result, {k: solver.COUNTERS[k] - v for k, v in start.items()}
+
+    def record(kind, stats):
+        want = dict.fromkeys(solver.COUNTERS, 0)
+        want.update({kind + "_calls": 1, kind + "_nodes": stats.nodes, kind + "_prunings": stats.prunings})
+        return want
+
+    assert set(solver.COUNTERS) == {
+        f"{kind}_{field}" for kind in ("rooted", "unrooted", "exists") for field in ("calls", "nodes", "prunings")
+    }
+    rng = random.Random(24)
+    for _ in range(40):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.random() * 0.6)
+        r, difference = counted(lambda: max_induced_tree(g))
+        assert difference == record("unrooted", r.stats)
+        for v in range(n):
+            rg = RootedGraph(g, v)
+            r, difference = counted(lambda: max_induced_tree_through(rg))
+            assert difference == record("rooted", r.stats)
+            for target in (r.size, r.size + 1):  # a hit that stops early, and a refutation
+                _, difference = counted(lambda: exists_induced_tree_through(rg, target))
+                assert difference == record("exists", _search(g, v, stop_at=target)[2])
 
 
 def test_search_stats_populated():
