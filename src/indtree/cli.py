@@ -11,6 +11,9 @@ enumerate, tabulate and verify stop at order DEFAULT_MAX_N (11) unless given
 --override-budget, since n = 12 runs far longer than n = 11.
 The flags a family or claim takes come from FAMILIES and verify.CLAIMS; one
 check, ``_check_flags``, refuses every other flag and every missing one.
+Library reports carry no timing: tabulate and verify time their one library
+call here and print it as ``elapsed``, the last key of --json output and the
+last line of tabulate's text.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import functools
 import json
 import os
 import sys
+import time
 from typing import Sequence
 
 from . import verify as verify_mod
@@ -156,11 +160,14 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(to_graph6(g).decode("ascii"))
         return 0
     if args.command == "tabulate":
+        start = time.perf_counter()
         rep = tabulate(args.n)
+        elapsed = time.perf_counter() - start
         if args.json:
-            print(json.dumps(dataclasses.asdict(rep), indent=2))
+            print(json.dumps({**dataclasses.asdict(rep), "elapsed": elapsed}, indent=2))
         else:
             _print_tabulate(rep)
+            print(f"elapsed: {elapsed:.3f}")
         return 0
     if args.command == "verify":
         return _cmd_verify(args)
@@ -177,7 +184,6 @@ def _print_tabulate(rep: EnumerationReport) -> None:
     print(f"t3_star_formula: {rep.t3_star_formula}")
     print("extremal_rooted: " + " ".join(f"{g6}:{v}" for g6, v in rep.extremal_rooted))
     print("extremal_unrooted: " + " ".join(rep.extremal_unrooted))
-    print(f"elapsed: {rep.elapsed:.3f}")
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -255,9 +261,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     values = {name: getattr(args, name) for name in verify_mod.CLAIMS[args.claim]}
+    start = time.perf_counter()
     rep = getattr(verify_mod, f"verify_{args.claim}")(**values)
+    elapsed = time.perf_counter() - start
     if args.json:
-        print(json.dumps(rep.to_json_dict(), indent=2))
+        print(json.dumps({**rep.to_json_dict(), "elapsed": elapsed}, indent=2))
     else:
         params = " ".join(f"{k}={v}" for k, v in rep.parameters) or "(none)"
         print(f"claim: {rep.claim}")

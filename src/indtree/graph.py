@@ -2,9 +2,9 @@
 
 Vertices are ``0..n-1``. A vertex set is a plain ``int`` bitmask (bit ``v``
 set means vertex ``v`` is in the set), which keeps search loops
-allocation-free; :func:`mask_of` and :func:`vertex_list` convert to and from
-explicit vertex collections. Adjacency is stored as one neighbor mask per
-vertex, symmetric and loop-free.
+allocation-free; :func:`bits` and :func:`vertex_list` list the vertices of
+a mask. Adjacency is stored as one neighbor mask per vertex, symmetric and
+loop-free.
 """
 
 from __future__ import annotations
@@ -23,14 +23,6 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(vertices: Iterable[int]) -> int:
-    """Bitmask of a vertex collection."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def vertex_list(mask: int) -> list[int]:

@@ -1,9 +1,11 @@
 """Machine checks of the extremal claims at desk scale.
 
 Each verifier enumerates every relevant instance, tests the claimed
-inequality or equality, and returns a report carrying pass/fail status plus
-a replayable failure record for anything that falsified the claim. Reports
-are deterministic apart from the elapsed field.
+inequality or equality, and returns a report carrying a replayable failure
+record for anything that falsified the claim; the claim passed exactly when
+there are none. Reports are plain values: two runs with the same arguments
+return equal reports. They carry no timing; the CLI measures its one call
+and adds ``elapsed`` to what it prints.
 
 The claims, in the verifier's vocabulary:
 
@@ -30,7 +32,6 @@ corollary and the ``tabulate`` command report.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -57,8 +58,7 @@ class EnumerationReport:
 
     extremal_rooted lists every (graph6, root) pair attaining the rooted
     minimum; extremal_unrooted lists every graph6 attaining the unrooted
-    minimum. Both are sorted, so reports are reproducible byte for byte;
-    elapsed is wall-clock seconds and is excluded from any identity checks.
+    minimum. Both are sorted, so equal runs give equal reports.
     """
 
     n: int
@@ -68,7 +68,6 @@ class EnumerationReport:
     t3_star_formula: int
     extremal_rooted: tuple[tuple[str, int], ...]
     extremal_unrooted: tuple[str, ...]
-    elapsed: float
 
 
 def t3_star_formula(n: int) -> int:
@@ -104,7 +103,6 @@ def tabulate(n: int) -> EnumerationReport:
     root, and t(G) is the largest of those rooted values. The extremal
     graphs are kept as they come and encoded as graph6 once each, at the end.
     """
-    start = time.perf_counter()
     seen = 0
     t3 = n + 1
     t3s = n + 1
@@ -135,7 +133,6 @@ def tabulate(n: int) -> EnumerationReport:
         t3_star_formula=t3_star_formula(n),
         extremal_rooted=tuple(sorted((g6[g], v) for g, v in ext_rooted)),
         extremal_unrooted=tuple(sorted(g6[g] for g in ext_unrooted)),
-        elapsed=time.perf_counter() - start,
     )
 
 
@@ -157,16 +154,20 @@ class FailureRecord:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """The verdict on one claim: it passed exactly when ``failures`` is empty."""
+
     claim: str
     parameters: tuple[tuple[str, int], ...]
     instances_checked: int
-    status: str
     failures: tuple[FailureRecord, ...]
-    elapsed: float
 
     @property
     def passed(self) -> bool:
-        return self.status == "pass"
+        return not self.failures
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.passed else "fail"
 
     def to_json_dict(self) -> dict:
         return {
@@ -176,25 +177,7 @@ class VerificationReport:
             "instances_checked": self.instances_checked,
             "status": self.status,
             "failures": [f.to_json_dict() for f in self.failures],
-            "elapsed": self.elapsed,
         }
-
-
-def _report(
-    claim: str,
-    parameters: tuple[tuple[str, int], ...],
-    instances: int,
-    failures: list[FailureRecord],
-    start: float,
-) -> VerificationReport:
-    return VerificationReport(
-        claim=claim,
-        parameters=parameters,
-        instances_checked=instances,
-        status="pass" if not failures else "fail",
-        failures=tuple(failures),
-        elapsed=time.perf_counter() - start,
-    )
 
 
 def _failure(g: Graph | str, root: int | None = None, /, **observed: int) -> FailureRecord:
@@ -231,7 +214,6 @@ def _verify_rooted(
 ) -> VerificationReport:
     """Run ``failure(g, v, k)`` on every (G, v) of the census up to max_n."""
     _check_order(max_n, "max_n")
-    start = time.perf_counter()
     instances = 0
     failures: list[FailureRecord] = []
     for n in range(1, max_n + 1):
@@ -241,7 +223,7 @@ def _verify_rooted(
                 record = failure(g, v, k)
                 if record is not None:
                     failures.append(record)
-    return _report(claim, (("max_n", max_n),), instances, failures, start)
+    return VerificationReport(claim, (("max_n", max_n),), instances, tuple(failures))
 
 
 def _theorem1_failure(g: Graph, v: int, k: int) -> FailureRecord | None:
@@ -271,7 +253,6 @@ def verify_corollary(max_n: int) -> VerificationReport:
     the certificate form of the upper bound.
     """
     _check_order(max_n, "max_n")
-    start = time.perf_counter()
     instances = 0
     failures: list[FailureRecord] = []
     b_orders = {}
@@ -294,7 +275,7 @@ def verify_corollary(max_n: int) -> VerificationReport:
             cap = math.isqrt(4 * n) + 1
             if rep.t3 > t_bk or t_bk > kk or kk > cap:
                 failures.append(_failure(bk, n=n, t3=rep.t3, t_b_k=t_bk, k=kk, cap=cap))
-    return _report("corollary", (("max_n", max_n),), instances, failures, start)
+    return VerificationReport("corollary", (("max_n", max_n),), instances, tuple(failures))
 
 
 def verify_counterexample_b5() -> VerificationReport:
@@ -303,7 +284,6 @@ def verify_counterexample_b5() -> VerificationReport:
     Confirms t = 5 on 10 vertices versus |B_5| = 9 with t(B_5) = 5, so B_5
     is not the largest graph with tree number 5.
     """
-    start = time.perf_counter()
     failures: list[FailureRecord] = []
     km = build_knn_minus_pm(5)
     b5 = build_b_k(5)
@@ -313,7 +293,7 @@ def verify_counterexample_b5() -> VerificationReport:
         failures.append(_failure(km, n=km.n, t=t_km))
     if not (b5.n == 9 and t_b5 == 5):
         failures.append(_failure(b5, n=b5.n, t=t_b5))
-    return _report("counterexample_b5", (), 2, failures, start)
+    return VerificationReport("counterexample_b5", (), 2, tuple(failures))
 
 
 def verify_diameter_remark(k: int, max_n: int) -> VerificationReport:
@@ -332,7 +312,6 @@ def verify_diameter_remark(k: int, max_n: int) -> VerificationReport:
         raise GraphError(
             f"nothing to check: |B_{k}| + 1 = {order + 1} exceeds max_n = {max_n}"
         )
-    start = time.perf_counter()
     bk = build_b_k(k)
     failures: list[FailureRecord] = []
     t_bk = max_induced_tree(bk).size
@@ -348,7 +327,7 @@ def verify_diameter_remark(k: int, max_n: int) -> VerificationReport:
             t_g = max_induced_tree(g).size
             if t_g <= k:
                 failures.append(_failure(g, n=n, diameter=k - 1, t=t_g))
-    return _report(
-        "diameter_remark", (("k", k), ("max_n", max_n)), instances, failures, start
+    return VerificationReport(
+        "diameter_remark", (("k", k), ("max_n", max_n)), instances, tuple(failures)
     )
 

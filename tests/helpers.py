@@ -1,6 +1,6 @@
 """Graph builders shared by the test modules, and ``scripts/bench.py`` as a
-module: the bench's ``ladder`` and ``random_triangle_free`` are the tests'
-too, so both draw the same graphs."""
+module: the bench's ``ladder``, ``random_triangle_free`` and
+``random_corpus`` are the tests' too, so both draw the same graphs."""
 
 import importlib.util
 from pathlib import Path
@@ -21,7 +21,9 @@ def load_bench():
 
 
 _bench = load_bench()
-ladder, random_triangle_free = _bench.ladder, _bench.random_triangle_free
+ladder, random_triangle_free, random_corpus = (
+    _bench.ladder, _bench.random_triangle_free, _bench.random_corpus
+)
 
 
 def random_graph(rng, n, p):

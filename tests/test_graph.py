@@ -16,13 +16,12 @@ from indtree import (
     is_induced_tree,
     is_triangle_free,
 )
-from indtree.graph import bits, mask_of, vertex_list
+from indtree.graph import bits, vertex_list
 
 from helpers import random_graph, to_nx
 
 
 def test_bitmask_helpers():
-    assert mask_of([0, 3, 5]) == 0b101001
     assert vertex_list(0b101001) == [0, 3, 5]
     assert list(bits(0b1101)) == [0, 2, 3]
     assert list(bits(0)) == []
@@ -122,10 +121,10 @@ def test_closed_neighborhood():
 def test_is_induced_tree_explicit():
     # C5 with a chord between 0 and 2
     g = Graph.from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-    assert is_induced_tree(g, mask_of([1, 2, 3]))
-    assert not is_induced_tree(g, mask_of([0, 1, 2]))  # triangle
-    assert not is_induced_tree(g, mask_of([1, 3]))  # disconnected
-    assert is_induced_tree(g, mask_of([4]))
+    assert is_induced_tree(g, 0b01110)  # {1, 2, 3}
+    assert not is_induced_tree(g, 0b00111)  # {0, 1, 2}, a triangle
+    assert not is_induced_tree(g, 0b01010)  # {1, 3}, disconnected
+    assert is_induced_tree(g, 0b10000)  # {4}
     assert not is_induced_tree(g, 0)
     with pytest.raises(GraphError):
         is_induced_tree(g, 1 << 5)

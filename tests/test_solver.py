@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -23,7 +24,7 @@ from indtree import (
 )
 from indtree.solver import _search
 
-from helpers import ladder, random_graph, random_triangle_free
+from helpers import ladder, random_corpus, random_graph, random_triangle_free
 
 
 def c_n(n):
@@ -126,6 +127,24 @@ def test_all_roots_subset_scan_matches_the_census(n, roots, enum_cache):
         assert all_roots_subset_scan(g) == [max_induced_tree_through(RootedGraph(g, v)).size for v in range(n)]
         checked += n
     assert checked == roots
+
+
+def test_refutations_above_t_hold_by_subset_scan():
+    # the bench's random(16..18) graphs are past the reach of the other
+    # oracles; there, at one seeded root v per graph, no (t + 1)-subset
+    # through v induces a tree, and exists at t + 1 says so. Exact size is
+    # enough: a larger tree through v sheds leaves other than v down to t + 1.
+    rng = random.Random(2)
+    for g in random_corpus(16, 18)[:8]:
+        v = rng.randrange(g.n)
+        rg = RootedGraph(g, v)
+        t = max_induced_tree_through(rg).size
+        others = [u for u in range(g.n) if u != v]
+        assert not any(
+            is_induced_tree(g, sum(1 << u for u in s) | 1 << v)
+            for s in itertools.combinations(others, t)
+        )
+        assert not exists_induced_tree_through(rg, t + 1)
 
 
 def test_t_equals_n_iff_tree(enum_cache):
