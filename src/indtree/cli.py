@@ -13,19 +13,19 @@ The flags a family or claim takes come from FAMILIES and verify.CLAIMS; one
 check, ``_check_flags``, refuses every other flag and every missing one.
 Library reports carry no timing: tabulate and verify time their one library
 call here and print it as ``elapsed``, the last key of --json output and the
-last line of tabulate's text.
+last line of tabulate's text. The rest of --json output is the report's own
+``to_json_dict``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import verify as verify_mod
 from .constructions import b_k_order, build_b_k, build_g_k, build_knn_minus_pm, g_k_order
@@ -33,7 +33,7 @@ from .enumeration import MAX_N, enumerate_connected_triangle_free
 from .formats import MAX_EDGE_LIST_N, read_graphs, to_edge_list_text, to_graph6
 from .graph import Graph, GraphError, RootedGraph
 from .solver import max_induced_tree, max_induced_tree_through
-from .verify import EnumerationReport, tabulate
+from .verify import EnumerationReport, VerificationReport, tabulate
 
 DEFAULT_MAX_N = 11
 
@@ -45,7 +45,10 @@ FAMILIES = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``run`` uses, built once per process; parsing leaves it
+    unchanged, so one serves every call."""
     top = argparse.ArgumentParser(
         prog="indtree",
         description="Exact maximum induced tree search over triangle-free graphs",
@@ -82,13 +85,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--json", action="store_true")
     v.add_argument("--override-budget", action="store_true")
     return top
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``run`` uses, built once per process; parsing leaves it
-    unchanged, so one serves every call."""
-    return build_parser()
 
 
 def run(argv: Sequence[str] | None = None) -> int:
@@ -160,18 +156,28 @@ def _dispatch(args: argparse.Namespace) -> int:
             print(to_graph6(g).decode("ascii"))
         return 0
     if args.command == "tabulate":
-        start = time.perf_counter()
-        rep = tabulate(args.n)
-        elapsed = time.perf_counter() - start
-        if args.json:
-            print(json.dumps({**dataclasses.asdict(rep), "elapsed": elapsed}, indent=2))
-        else:
+        rep, elapsed = _timed_report(args, tabulate, n=args.n)
+        if not args.json:
             _print_tabulate(rep)
             print(f"elapsed: {elapsed:.3f}")
         return 0
     if args.command == "verify":
         return _cmd_verify(args)
     raise AssertionError(f"unhandled command {args.command}")
+
+
+def _timed_report(
+    args: argparse.Namespace, call: Callable[..., EnumerationReport | VerificationReport], **values
+) -> tuple[EnumerationReport | VerificationReport, float]:
+    """Time the one library call behind tabulate or verify and return its
+    report with the seconds it took; under --json, print the report's JSON
+    with those seconds as its last key, ``elapsed``."""
+    start = time.perf_counter()
+    rep = call(**values)
+    elapsed = time.perf_counter() - start
+    if args.json:
+        print(json.dumps({**rep.to_json_dict(), "elapsed": elapsed}, indent=2))
+    return rep, elapsed
 
 
 def _print_tabulate(rep: EnumerationReport) -> None:
@@ -261,12 +267,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     values = {name: getattr(args, name) for name in verify_mod.CLAIMS[args.claim]}
-    start = time.perf_counter()
-    rep = getattr(verify_mod, f"verify_{args.claim}")(**values)
-    elapsed = time.perf_counter() - start
-    if args.json:
-        print(json.dumps({**rep.to_json_dict(), "elapsed": elapsed}, indent=2))
-    else:
+    rep, _ = _timed_report(args, getattr(verify_mod, f"verify_{args.claim}"), **values)
+    if not args.json:
         params = " ".join(f"{k}={v}" for k, v in rep.parameters) or "(none)"
         print(f"claim: {rep.claim}")
         print(f"parameters: {params}")

@@ -255,9 +255,8 @@ def max_induced_tree_through(rg: RootedGraph) -> TreeSearchResult:
     COUNTERS["rooted_calls"] += 1
     COUNTERS["rooted_nodes"] += stats.nodes
     COUNTERS["rooted_prunings"] += stats.prunings
-    result = TreeSearchResult(size, witness, rg.root, stats)
-    _check_witness(rg.graph, result)
-    return result
+    _check_witness(rg.graph, size, witness, rg.root)
+    return TreeSearchResult(size, witness, rg.root, stats)
 
 
 def max_induced_tree(g: Graph) -> TreeSearchResult:
@@ -288,9 +287,8 @@ def max_induced_tree(g: Graph) -> TreeSearchResult:
     COUNTERS["unrooted_calls"] += 1
     COUNTERS["unrooted_nodes"] += nodes
     COUNTERS["unrooted_prunings"] += prunings
-    result = TreeSearchResult(best_size, best_set, None, SearchStats(nodes, prunings))
-    _check_witness(g, result)
-    return result
+    _check_witness(g, best_size, best_set)
+    return TreeSearchResult(best_size, best_set, None, SearchStats(nodes, prunings))
 
 
 def exists_induced_tree_through(rg: RootedGraph, target: int) -> bool:
@@ -308,7 +306,7 @@ def exists_induced_tree_through(rg: RootedGraph, target: int) -> bool:
     COUNTERS["exists_prunings"] += stats.prunings
     if size < target:
         return False
-    _check_witness(rg.graph, TreeSearchResult(size, witness, rg.root, stats))
+    _check_witness(rg.graph, size, witness, rg.root)
     return True
 
 
@@ -343,13 +341,14 @@ def brute_force_t(g: Graph, root: int | None = None) -> TreeSearchResult:
     if best_size == 0:
         # root given but isolated is impossible: the singleton is a tree
         raise AssertionError("subset scan found no tree at all")
-    result = TreeSearchResult(best_size, best_set, root, SearchStats(tested, 0))
-    _check_witness(g, result)
-    return result
+    _check_witness(g, best_size, best_set, root)
+    return TreeSearchResult(best_size, best_set, root, SearchStats(tested, 0))
 
 
-def _check_witness(g: Graph, r: TreeSearchResult) -> None:
-    if r.size != r.witness.bit_count() or not is_induced_tree(g, r.witness):
-        raise AssertionError(f"witness {r.witness:#x} is not an induced tree of size {r.size}")
-    if r.required_root is not None and not r.witness >> r.required_root & 1:
-        raise AssertionError(f"witness {r.witness:#x} misses the root {r.required_root}")
+def _check_witness(g: Graph, size: int, witness: int, root: int | None = None) -> None:
+    """Raise AssertionError unless the vertex set ``witness`` induces a tree
+    of ``size`` vertices in g that holds ``root``, if one is given."""
+    if size != witness.bit_count() or not is_induced_tree(g, witness):
+        raise AssertionError(f"witness {witness:#x} is not an induced tree of size {size}")
+    if root is not None and not witness >> root & 1:
+        raise AssertionError(f"witness {witness:#x} misses the root {root}")

@@ -4,8 +4,9 @@ Each verifier enumerates every relevant instance, tests the claimed
 inequality or equality, and returns a report carrying a replayable failure
 record for anything that falsified the claim; the claim passed exactly when
 there are none. Reports are plain values: two runs with the same arguments
-return equal reports. They carry no timing; the CLI measures its one call
-and adds ``elapsed`` to what it prints.
+return equal reports. Each report's ``to_json_dict`` is its JSON shape. They
+carry no timing; the CLI measures its one call and adds ``elapsed`` to what
+it prints.
 
 The claims, in the verifier's vocabulary:
 
@@ -32,7 +33,7 @@ corollary and the ``tabulate`` command report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator
 
 from .canon import are_rooted_isomorphic
@@ -68,6 +69,9 @@ class EnumerationReport:
     t3_star_formula: int
     extremal_rooted: tuple[tuple[str, int], ...]
     extremal_unrooted: tuple[str, ...]
+
+    def to_json_dict(self) -> dict:
+        return asdict(self)
 
 
 def t3_star_formula(n: int) -> int:

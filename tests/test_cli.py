@@ -328,6 +328,23 @@ def test_verify_json(capsys):
     assert isinstance(d["elapsed"], float) and list(d)[-1] == "elapsed"
 
 
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (["tabulate", "--n", "5"], lambda: verify_mod.tabulate(5)),
+        (["verify", "--claim", "theorem2", "--max-n", "5"], lambda: verify_mod.verify_theorem2(5)),
+    ],
+    ids=["tabulate", "verify"],
+)
+def test_json_output_is_the_reports_json_then_elapsed(argv, report, capsys):
+    """Both reports reach --json through one path: the library report's
+    ``to_json_dict`` with the CLI's timing appended."""
+    assert run(argv + ["--json"]) == 0
+    out = capsys.readouterr().out
+    e = json.loads(out)["elapsed"]
+    assert out == json.dumps({**report().to_json_dict(), "elapsed": e}, indent=2) + "\n"
+
+
 def test_verify_diameter_remark(capsys):
     assert run(["verify", "--claim", "diameter_remark", "--k", "3", "--max-n", "7"]) == 0
 

@@ -17,6 +17,7 @@ ALLOWED = {
     "canon": {"graph"},
     "solver": {"graph"},
     "enumeration": {"canon", "graph"},
+    "verify": {"canon", "constructions", "enumeration", "formats", "graph", "solver"},
 }
 
 

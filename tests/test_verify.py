@@ -116,7 +116,7 @@ def test_reports_deterministic():
 
 _UNDER_O = """
 import sys
-from indtree import Graph, GraphError, SearchStats, TreeSearchResult
+from indtree import Graph, GraphError
 from indtree.cli import run
 from indtree.solver import _check_witness
 
@@ -128,7 +128,7 @@ try:
 except GraphError:
     pass
 try:
-    _check_witness(Graph(2, [0, 0]), TreeSearchResult(2, 0b11, None, SearchStats(0, 0)))
+    _check_witness(Graph(2, [0, 0]), 2, 0b11)
     sys.exit("a disconnected witness was accepted")
 except AssertionError:
     pass
