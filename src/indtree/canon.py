@@ -12,9 +12,12 @@ encoding prune sibling branches, and each tie returns the search to the two
 leaves' common ancestor, as in nauty. The swaps of false twins, vertices
 with equal rows, are automorphisms known before the search; they are
 stored before it starts, so the siblings they relate are pruned without
-first reaching a tie. This keeps highly symmetric inputs (empty graphs,
-complete bipartite blowups) from exploding, and never changes the labeling,
-since a skipped branch is the image of an explored one.
+first reaching a tie. A cell of false twins is individualized in one
+step, in index order, without a node per twin: individualizing a twin
+splits no cell, and the swaps prune every sibling. This keeps highly
+symmetric inputs (empty graphs, complete bipartite blowups) from
+exploding, and never changes the labeling, since a skipped branch is the
+image of an explored one.
 
 Cells keep their order through every split, and the first split orders them
 by degree, so an unrooted graph's last canonical vertex has the largest
@@ -32,7 +35,8 @@ from dataclasses import dataclass, field
 from .graph import Graph, GraphError, RootedGraph, bits
 
 # work done since import: labeling searches and their nodes (one per
-# refinement); read as differences around a run
+# refinement; a twin that a node individualizes in its twin-cell step is
+# no node of its own); read as differences around a run
 COUNTERS = {"searches": 0, "nodes": 0}
 
 
@@ -264,6 +268,20 @@ def _search(
     node fixing them receives, and the argument above still shows that the
     stored maps generate Aut.
 
+    A node whose first cell of two or more vertices is a set of false
+    twins, and whose first vertex v of that cell has the whole cell as its
+    orbit under the maps that fix the base, takes v into its base and goes
+    on with the next such cell, without a refinement and without a node of
+    its own. Individualizing a twin splits no cell of an equitable
+    partition, since each cell is joined to all of the twins or to none,
+    and the twins have equal rows; and v's siblings would all be pruned.
+    So each such step stands for a node of the search without it, whose
+    only explored child is v: the leaves, the labeling and the stored maps
+    are the same. With the twin swaps as seeds the orbit test always holds:
+    the search individualizes a twin class's vertices lowest first, so a
+    cell of twins is the rest of its class, and the swaps of its
+    consecutive vertices are seeds that fix the base.
+
     Each node gets from its parent the stored maps that fix its base, and
     filters only the maps stored since against that base. It keeps the
     union of its explored children's orbits, adds a child's orbit only
@@ -328,11 +346,26 @@ def _search(
         nonlocal nodes
         nodes += 1
         cells = _refine(adj, cells, stable)
-        for target, cell in enumerate(cells):
-            if cell & (cell - 1):  # the first cell of two or more vertices
-                break
-        else:
-            return leaf(cells, base)
+        target = 0
+        while True:
+            for target in range(target, len(cells)):
+                cell = cells[target]
+                if cell & (cell - 1):  # the first cell of two or more vertices
+                    break
+            else:
+                return leaf(cells, base)
+            # the twin-cell step: v is taken into the base without a node
+            bit = cell & -cell
+            v = bit.bit_length() - 1
+            row = adj[v]
+            rest = cell ^ bit
+            while rest and adj[(rest & -rest).bit_length() - 1] == row:
+                rest &= rest - 1
+            if rest or _closure(bit, gens) & cell != cell:
+                break  # a vertex of the cell is no twin of v, or outside its orbit
+            cells[target : target + 1] = (bit, cell ^ bit)
+            base += (v,)
+            gens = [a for a in gens if a[v] == v]
         head, tail = cells[:target], cells[target + 1 :]
         equitable = frozenset(cells)  # no cell splits a refinement of cells
         depth = len(base)

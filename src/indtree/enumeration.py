@@ -13,11 +13,15 @@ since any other set gives a disconnected child; so every n-vertex graph
 reached is connected. The search is depth-first, so memory stays
 proportional to n, not to the class counts.
 
-Each node carries the automorphisms that canon stored while labeling it,
-which generate its automorphism group (McKay's orbit pruning, "Isomorph-free
-exhaustive generation", J. Algorithms 26, 1998). One candidate set per orbit
-of that group is tried, and a child is accepted when its own automorphisms
-map the new vertex to the last canonical one.
+Each node carries its automorphism group (McKay's orbit pruning,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998): the
+automorphisms that canon stored while labeling it, or, when the group is
+the product of the symmetric groups on its classes of false twins
+(vertices with equal rows), the masks of those classes, the
+"known automorphisms" that McKay and Piperno's search starts from
+("Practical graph isomorphism, II", 2014). One candidate set per orbit of
+that group is tried, and a child is accepted when its own group maps the
+new vertex to the last canonical one.
 
 As in McKay's generator and geng, cheap invariants decide first: the last
 cell of a candidate's equitable partition holds the last canonical vertex
@@ -25,8 +29,10 @@ and is a union of orbits. A new vertex outside it is rejected, and at the
 last level a new vertex that is the whole cell is accepted, before any
 refinement when its degree alone is the largest, and so is one whose cell
 holds only it and its false twins. The refinement stops as soon as the
-last cell settles either question, since later splits only shrink it. Only
-the other candidates are labeled.
+last cell settles either question, since later splits only shrink it.
+Below the last level, a candidate whose finished partition has twin
+classes for cells is accepted with that group, since no automorphism moves
+a vertex out of its cell. Only the other candidates are labeled.
 
 Orders 1..MAX_N are accepted. A default budget is the caller's: n = 12
 runs far longer than n = 11, and the CLI asks for a flag before it starts
@@ -46,11 +52,24 @@ MAX_N = 12
 # started; the candidate sets listed at the last level of a walk; the
 # leaves accepted by degree; the partition's rejects, and the leaves
 # accepted by the new vertex alone in the last cell and by its false twins
-# filling that cell; the labelings of the rest. Each candidate takes one of
-# these decisions, so sums of them count the candidates and those refined
-COUNTERS = dict.fromkeys(("walks", "leaf_sets", "degree", "rejected", "settled", "twins", "labelings"), 0)
+# filling that cell; the inner candidates whose finished partition has
+# twin classes for cells; the labelings of the rest. Each candidate takes
+# one of these decisions, so sums of them count the candidates and those
+# refined
+COUNTERS = dict.fromkeys(
+    ("walks", "leaf_sets", "degree", "rejected", "settled", "twins", "twin_cells", "labelings"), 0
+)
 
 Automorphisms = tuple[tuple[int, ...], ...]
+
+
+class TwinClasses(tuple):
+    """The masks of the twin classes of two or more vertices of a graph
+    whose automorphism group is the product of the symmetric groups on its
+    twin classes; a node carries them in place of generating maps."""
+
+
+Group = Automorphisms | TwinClasses
 
 
 def _check_order(n: int, name: str = "n") -> None:
@@ -70,24 +89,25 @@ def enumerate_connected_triangle_free(n: int) -> Iterator[Graph]:
     yield from _extend(Graph.from_edge_list(1, []), (), n)
 
 
-def _extend(g: Graph, autos: Automorphisms, target: int) -> Iterator[Graph]:
-    """Leaves of order ``target`` below g; ``autos`` are automorphisms of g."""
+def _extend(g: Graph, group: Group, target: int) -> Iterator[Graph]:
+    """Leaves of order ``target`` below g; ``group`` is g's automorphism
+    group, as ``_children`` takes it."""
     if g.n == target:
         yield g
         return
-    for child, child_autos in _children(g, autos, g.n + 1 == target):
-        yield from _extend(child, child_autos, target)
+    for child, child_group in _children(g, group, g.n + 1 == target):
+        yield from _extend(child, child_group, target)
 
 
-def _children(
-    g: Graph, autos: Automorphisms, leaves: bool
-) -> Iterator[tuple[Graph, Automorphisms]]:
+def _children(g: Graph, group: Group, leaves: bool) -> Iterator[tuple[Graph, Group]]:
     """Accepted one-vertex extensions of g, one per child class, each with
-    the automorphisms canon stored for it.
+    its automorphism group.
 
-    ``autos`` generate the automorphism group of g; K1's ``()`` does.
-    ``leaves`` says that the children are leaves of the walk: their
-    automorphisms are never read, and a disconnected one is never wanted.
+    ``group`` is g's group, given either by maps that generate it, K1's
+    ``()`` among them, or as ``TwinClasses`` when it is the product of the
+    symmetric groups on g's twin classes. ``leaves`` says that the children
+    are leaves of the walk: their groups are never read, and a
+    disconnected one is never wanted.
     Only sets of at least ``top`` vertices, the largest degree of g, are
     listed, and when ``leaves`` is set only those that meet every
     component of g: ``_independent_sets`` drops the others while it builds
@@ -98,11 +118,16 @@ def _children(
     - some old vertex of the child has a larger degree than the new one:
       canon puts a vertex of largest degree last, so the new vertex is not
       in the orbit of the last canonical vertex and would be rejected;
-    - the group generated by ``autos`` maps an earlier tried set onto it.
-      The two children are isomorphic by a map that fixes the new vertex,
-      so they share their form and accept decision, and the earlier one
-      has decided both. Accepted children from two orbits are never
-      isomorphic (McKay's lemma), so no seen-set is needed.
+    - the group maps an earlier tried set onto it. The two children are
+      isomorphic by a map that fixes the new vertex, so they share their
+      form and accept decision, and the earlier one has decided both.
+      Accepted children from two orbits are never isomorphic (McKay's
+      lemma), so no seen-set is needed. Under maps, the orbits of tried
+      sets are collected. Under twin classes no orbit is built: the sets
+      are listed in increasing order, and the group maps a listed set to
+      listed sets only (the degree cut, the size bound and the components
+      to meet are invariant), so a set is the first of its orbit exactly
+      when it meets each class in that class's lowest vertices.
 
     Every other candidate is built. At the last level one whose new vertex
     has a larger degree than every old vertex, |s| > top, or > top + 1
@@ -118,8 +143,17 @@ def _children(
     of the new one (its row in g is s), the child is accepted and yielded
     with ``()``: the last canonical vertex lies in the cell, and each twin
     swap is an automorphism, so that vertex is in the new vertex's orbit.
-    This covers the cell of the new vertex alone. Otherwise the child is
-    labeled.
+    This covers the cell of the new vertex alone. Below the last level the
+    refinement is finished, resumed from where ``settle`` stopped it. If
+    every cell is then a twin class (as many cells as distinct rows), each
+    automorphism keeps each cell and each permutation of a twin class is an
+    automorphism, so the group is the product of the symmetric groups on
+    the cells, and its orbits are the cells. The new vertex lies in the
+    last cell, so the child is accepted without a labeling and yielded with
+    its cells of two or more vertices as ``TwinClasses``. Otherwise the
+    child is labeled, and yielded with the stored automorphisms, or with
+    its twin classes when canon stored only the twin swaps, which then
+    generate the group.
     """
     m = g.n
     new = m
@@ -130,7 +164,8 @@ def _children(
         components = _components(g)
         if len(components) > 1 or not top:
             meet = components  # with one component only K1's empty set misses it
-    tried: set[int] = set()  # every image of a tried set under autos
+    twins = group if isinstance(group, TwinClasses) else None
+    tried: set[int] = set()  # every image of a tried set under the maps
     sets = _independent_sets(g, top, meet)
     if leaves:
         COUNTERS["leaf_sets"] += len(sets)
@@ -140,9 +175,13 @@ def _children(
         size = s.bit_count()
         if s & top_mask and size == top:
             continue  # an old vertex has a larger degree than new
-        if s in tried:
+        if twins is not None:
+            if not _leads_its_orbit(s, twins):
+                continue  # an automorphic image of an earlier set
+        elif s in tried:
             continue  # an automorphic image of a tried set
-        tried |= _orbit(s, autos)
+        else:
+            tried |= _orbit(s, group)
         rows = list(g.adj)
         rest = s
         while rest:  # new joins exactly the vertices of s
@@ -156,7 +195,8 @@ def _children(
             COUNTERS["degree"] += 1
             yield child, ()  # new alone has the largest degree
             continue
-        last = _refine(child.adj, [child.full_mask], settle=1 << new)[-1]
+        cells = _refine(child.adj, [child.full_mask], settle=1 << new)
+        last = cells[-1]
         if not last >> new & 1:
             COUNTERS["rejected"] += 1
             continue  # the last canonical vertex is in the last cell, new is not
@@ -171,11 +211,24 @@ def _children(
                 COUNTERS["twins" if last ^ 1 << new else "settled"] += 1
                 yield child, ()  # the last canonical vertex is new or its twin
                 continue
+        else:
+            if last == 1 << new:  # the refinement may have stopped early
+                cells = _refine(child.adj, cells)
+            if len(cells) == len(set(child.adj)):
+                # every cell is a twin class, so the group is the product of
+                # their symmetric groups, and new is in the last cell's orbit
+                COUNTERS["twin_cells"] += 1
+                yield child, TwinClasses(c for c in cells if c & (c - 1))
+                continue
         COUNTERS["labelings"] += 1
         form, perm = canonical_labeling(child)
         # new's orbit holds the vertex in the final canonical position
         if _closure(1 << new, form.automorphisms) >> perm.index(m) & 1:
-            yield child, form.automorphisms
+            autos = form.automorphisms
+            if not leaves and len(autos) == m + 1 - len(set(child.adj)):
+                yield child, _twin_classes(child.adj)  # only the twin swaps were stored
+            else:
+                yield child, autos
 
 
 def _orbit(s: int, autos: Automorphisms) -> set[int]:
@@ -197,6 +250,25 @@ def _orbit(s: int, autos: Automorphisms) -> set[int]:
                 orbit.add(y)
                 stack.append(y)
     return orbit
+
+
+def _leads_its_orbit(s: int, twins: TwinClasses) -> bool:
+    """Whether ``s`` is the least set of its orbit under the product of the
+    symmetric groups on ``twins``: whether it meets each class in that
+    class's lowest vertices."""
+    for c in twins:
+        x = s & c
+        if x != c & ((1 << x.bit_length()) - 1):
+            return False
+    return True
+
+
+def _twin_classes(adj: tuple[int, ...]) -> TwinClasses:
+    """The twin classes of two or more vertices of the graph with rows ``adj``."""
+    classes: dict[int, int] = {}
+    for v, row in enumerate(adj):
+        classes[row] = classes.get(row, 0) | 1 << v
+    return TwinClasses(c for c in classes.values() if c & (c - 1))
 
 
 def _components(g: Graph) -> list[int]:

@@ -20,12 +20,12 @@ def test_group_rows_count_both_layers_and_repeat():
     assert walk["graphs"] == 59
     # the rows hold each layer's record differences under the record's names:
     # canon's searches, one per labeling enumeration makes, and their nodes
-    assert walk["canon"] == {"searches": 79, "nodes": 337}
+    assert walk["canon"] == {"searches": 51, "nodes": 194}
     e = walk["enumeration"]
-    assert e["walks"] == 1 and e["labelings"] == 79 and e["leaf_sets"] == 219
+    assert e["walks"] == 1 and e["labelings"] == 51 and e["leaf_sets"] == 219
     # enumeration's refinements at every level: each refined candidate is
-    # rejected, settled, twins or labeled
-    assert e["rejected"] + e["settled"] + e["twins"] + e["labelings"] == 118
+    # rejected, settled, twins, twin cells or labeled
+    assert e["rejected"] + e["settled"] + e["twins"] + e["twin_cells"] + e["labelings"] == 118
     assert set(walk["solver"].values()) == {0}
 
     solves, _ = bench.measure(indtree, "knn_minus_pm(6)")

@@ -547,3 +547,33 @@ def test_twin_seeds_keep_the_labeling(monkeypatch):
         plain, plain_perm = canonical_labeling(g, root)
         assert (form.data, perm) == (plain.data, plain_perm)
         assert generated_group(g.n, form.automorphisms) == generated_group(g.n, plain.automorphisms)
+
+
+def twin_heavy_graphs():
+    """A seeded corpus whose search meets many cells of false twins: blown-up
+    paths with random class sizes, K_{a,b} and the stars K_{1,b}, edgeless
+    graphs and random graphs with twins added, half of them relabeled at
+    random so that a twin class is not a run of consecutive vertices."""
+    rng = random.Random(29)
+    graphs = [blow_up_path([rng.randint(1, 4) for _ in range(rng.randint(1, 5))]) for _ in range(200)]
+    graphs += [blow_up_path([a, b]) for a in range(1, 7) for b in range(a, 7)]
+    graphs += [Graph.from_edge_list(n, []) for n in range(1, 11)]
+    graphs += [with_twins(rng, random_graph(rng, rng.randint(1, 6), rng.random()), 3) for _ in range(100)]
+    return [relabel(g, rng.sample(range(g.n), g.n)) if rng.random() < 0.5 else g for g in graphs]
+
+
+def test_twin_cell_labelings_are_pinned():
+    # the search takes a cell of false twins whose first vertex's orbit is
+    # the whole cell in one step, without a node per twin; sha256 over the
+    # form, the labeling and the stored automorphisms, unrooted and at every
+    # root, of a twin-heavy corpus: the digest was computed by the search
+    # that individualized such a cell one vertex per node
+    h = hashlib.sha256()
+    labelings = 0
+    for g in twin_heavy_graphs():
+        for root in (None, *range(g.n)):
+            form, perm = canonical_labeling(g, root)
+            h.update(repr((form.data, perm, form.automorphisms)).encode())
+            labelings += 1
+    assert labelings == 2660
+    assert h.hexdigest() == "c3516109d91b7dfe16e060c151e970cbb06cf65803088774d5e9b0da7549f056"

@@ -25,7 +25,7 @@ from indtree import (
     to_graph6,
 )
 from indtree import canon, enumeration
-from indtree.enumeration import _children, _independent_sets, _orbit
+from indtree.enumeration import TwinClasses, _children, _independent_sets, _leads_its_orbit, _orbit
 
 
 def labeled_filter_classes(n):
@@ -111,7 +111,7 @@ def test_budget_enforced():
 @pytest.mark.slow
 def test_class_count_n11():
     # OEIS A024607, and the emission digest as for n = 8..10 below; the walk
-    # takes about 8.5 s, so it runs only under ``-m slow``
+    # takes about 5 s, so it runs only under ``-m slow``
     text = [to_graph6(g) for g in enumerate_connected_triangle_free(11)]
     assert len(text) == 90842
     assert hashlib.sha256(b"\n".join(text)).hexdigest() == (
@@ -391,14 +391,24 @@ def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
 def test_early_last_cell_gives_the_full_verdict(monkeypatch):
     # _children stops refining once the last cell misses the new vertex or
     # is the new vertex alone; for every candidate it refines up to order 9,
-    # that verdict is the one the finished equitable partition gives
+    # that verdict is the one the finished equitable partition gives. An
+    # inner candidate left with the new vertex alone finishes the refinement
+    # from the cells where it stopped, and reaches the partition that a
+    # fresh refinement of the unit partition gives
     refine = enumeration._refine
     verdicts = collections.Counter()
+    finishes = collections.Counter()
 
     def verdict(last, new):
         return "reject" if not last & new else "alone" if last == new else "label"
 
     def checking(adj, cells, stable=frozenset(), settle=0):
+        if not settle:
+            assert not stable and cells[-1] == 1 << (len(adj) - 1)
+            finished = refine(adj, list(cells))
+            assert finished == refine(adj, [(1 << len(adj)) - 1])
+            finishes[finished == cells] += 1
+            return finished
         early = refine(adj, list(cells), stable, settle)
         full = refine(adj, list(cells), stable)
         assert settle and not full[-1] & ~early[-1]  # the full last cell lies in the early one
@@ -414,23 +424,27 @@ def test_early_last_cell_gives_the_full_verdict(monkeypatch):
     assert set(verdicts) == {(v, done) for v in ("reject", "alone") for done in (False, True)} | {
         ("label", True)
     }
+    # some finishing refinements split further, and some find the cells equitable
+    assert set(finishes) == {False, True}
 
 
 # per order: labeling search nodes; the candidate sets of the last level;
 # the candidates that the partition rejects; the leaves it accepts, the last
 # cell being the new vertex alone; the leaves accepted by degree before any
-# refinement; and those whose finished last cell is the new vertex and false
-# twins of it
-DECIDED = {7: (337, 219, 24, 8, 29, 7), 8: (1139, 931, 140, 55, 122, 19)}
+# refinement; those whose finished last cell is the new vertex and false
+# twins of it; the inner candidates whose finished partition has twin
+# classes for cells; and the candidates labeled
+DECIDED = {7: (194, 219, 24, 8, 29, 7, 28, 51), 8: (649, 931, 140, 55, 122, 19, 77, 165)}
 
 
-@pytest.mark.parametrize("n, partitions, labelings", [(7, 118, 79), (8, 456, 242)])
-def test_work_per_walk_is_pinned(n, partitions, labelings):
+@pytest.mark.parametrize("n, partitions, unsettled", [(7, 118, 79), (8, 456, 242)])
+def test_work_per_walk_is_pinned(n, partitions, unsettled):
     # candidates that pass the degree and orbit tests, those of them that
-    # reach the equitable partition, those that only canon's search can
-    # decide, that search's nodes (its refinements) and the candidates that
-    # the partition or a leaf shortcut decides
-    nodes, sets, rejected, settled, degree, twins = DECIDED[n]
+    # reach the equitable partition, those whose place the early last cell
+    # leaves unsettled, which the twin cells or canon's search decide, that
+    # search's nodes (a twin taken in one step is none) and the candidates
+    # that the partition or a leaf shortcut decides
+    nodes, sets, rejected, settled, degree, twins, twin_cells, labelings = DECIDED[n]
     starts = dict(enumeration.COUNTERS), dict(canon.COUNTERS)
     sum(1 for _ in enumerate_connected_triangle_free(n))
     walk, search = (
@@ -440,10 +454,68 @@ def test_work_per_walk_is_pinned(n, partitions, labelings):
     candidates = partitions + degree
     assert walk == {
         "walks": 1, "leaf_sets": sets, "degree": degree, "rejected": rejected, "settled": settled,
-        "twins": twins, "labelings": labelings,
+        "twins": twins, "twin_cells": twin_cells, "labelings": labelings,
     }
     assert search == {"searches": labelings, "nodes": nodes}
     # the record keeps no sums: each refined candidate is rejected, settled,
-    # twins or labeled, and each other candidate is accepted by degree
-    assert partitions == rejected + settled + twins + labelings
-    assert candidates == degree + rejected + settled + twins + labelings
+    # twins, twin cells or labeled, and each other candidate is accepted by
+    # degree
+    assert unsettled == twin_cells + labelings
+    assert partitions == rejected + settled + twins + twin_cells + labelings
+    assert candidates == degree + rejected + settled + twins + twin_cells + labelings
+
+
+def inner_levels(top):
+    """Every node of the augmentation tree below K1 of order at most
+    ``top``, with the group ``_children`` gives it, level by level."""
+    level = [(Graph.from_edge_list(1, []), ())]
+    for _ in range(top):
+        yield from level
+        level = [found for g, group in level for found in _children(g, group, False)]
+
+
+def test_twin_cell_rule_agrees_with_canon():
+    # an inner candidate whose finished partition has twin classes for cells
+    # is accepted, unlabeled, exactly when the new vertex is in the last
+    # cell. For every independent set, not one per orbit, at every parent up
+    # to order 7, wherever the cells are twin classes that is canon's
+    # decision, and every automorphism canon stores keeps each cell
+    fired = collections.Counter()
+    for g, _ in inner_levels(7):
+        new = g.n
+        for s in _independent_sets(g):
+            child = Graph(new + 1, tuple(a | (s >> v & 1) << new for v, a in enumerate(g.adj)) + (s,))
+            cells = canon._refine(child.adj, [child.full_mask])
+            if len(cells) != len(set(child.adj)):
+                continue
+            form, perm = canonical_labeling(child)
+            accepted = canon._closure(1 << new, form.automorphisms) >> perm.index(new) & 1
+            assert accepted == cells[-1] >> new & 1
+            for phi in form.automorphisms:
+                assert all(sum(1 << phi[v] for v in range(child.n) if c >> v & 1) == c for c in cells)
+            fired[bool(accepted)] += 1
+    assert fired == {True: 810, False: 2518}
+
+
+def test_twin_class_prefix_keeps_one_set_per_orbit():
+    # a parent whose group is the product of the symmetric groups on its
+    # twin classes tries the sets that meet each class in its lowest
+    # vertices: at every such parent up to order 8 those are the sets that
+    # the orbit loop tries under the automorphisms canon stores for it, and
+    # the children are the ones the stored maps give
+    parents = collections.Counter()
+    for g, group in inner_levels(8):
+        if not isinstance(group, TwinClasses):
+            continue
+        autos = canonical_labeling(g)[0].automorphisms
+        tried, kept = set(), []
+        for s in _independent_sets(g):
+            if s not in tried:
+                tried |= _orbit(s, autos)
+                kept.append(s)
+        assert [s for s in _independent_sets(g) if _leads_its_orbit(s, group)] == kept
+        for leaves in (False, True):
+            by_twins = [child for child, _ in _children(g, group, leaves)]
+            assert by_twins == [child for child, _ in _children(g, autos, leaves)]
+        parents[len(group) > 0] += 1
+    assert parents == {True: 245, False: 28}  # twin classes, and none: a trivial group
