@@ -25,7 +25,11 @@ degree and lies in the last cell of ``_refine(adj, [full])``, the equitable
 refinement of the unit partition that the search starts below. Each cell is
 a union of automorphism orbits. Enumeration relies on these facts to decide
 most candidates without a search, and refines only until the new vertex's
-place in the last cell is settled (``_refine``'s ``settle``).
+place in the last cell is settled (``_refine``'s ``settle``). For the
+candidates it does label it holds the finished refinement, and hands it to
+``canonical_labeling`` as ``cells``: the search then starts at that
+partition, as McKay and Piperno's does below known equitable cells, and
+does not refine the unit partition a second time.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ def canonical_form(g: Graph, root: int | None = None) -> CanonicalForm:
 
 
 def canonical_labeling(
-    g: Graph, root: int | None = None
+    g: Graph, root: int | None = None, *, cells: list[int] | None = None
 ) -> tuple[CanonicalForm, tuple[int, ...]]:
     """Canonical form plus one labeling achieving it.
 
@@ -77,19 +81,46 @@ def canonical_labeling(
     first refinement orders the cells by degree, smallest first, and every
     later split, by refinement or by individualization, replaces a cell by
     its pieces in place.
+
+    ``cells``, for an unrooted labeling only, hands over that refinement
+    when the caller has it: the cell masks, in order, of
+    ``_refine(g.adj, [g.full_mask])`` (``[]`` for n = 0). The search starts
+    at them as its equitable root partition instead of refining the unit
+    partition, so the form, the labeling, the automorphisms and the node
+    count are those of the plain call. Only their shape is checked: cells
+    that are not a partition of the vertices into nonempty disjoint masks,
+    or cells given with a root, raise GraphError. Other cells give a
+    labeling that need not be canonical.
     """
     n = g.n
     full = (1 << n) - 1
-    if root is None:
-        cells = [full]
+    if cells is not None:
+        if root is not None:
+            raise GraphError("cells are the unrooted refinement; give no root with them")
+        _check_partition(cells, full)
+        start = cells  # _search copies the cells it splits
+    elif root is None:
+        start = [full]
     elif isinstance(root, int) and 0 <= root < n:
-        cells = [c for c in (full ^ 1 << root, 1 << root) if c]
+        start = [c for c in (full ^ 1 << root, 1 << root) if c]
     else:
         raise GraphError(f"root {root} outside 0..{n - 1}")
     if n == 0:
         return CanonicalForm(_pack(0, False, 0)), ()
-    code, perm, autos = _search(g.adj, n, cells, _twin_swaps(g.adj, root))
+    code, perm, autos = _search(g.adj, n, start, _twin_swaps(g.adj, root), cells is not None)
     return CanonicalForm(_pack(n, root is not None, code), autos), perm
+
+
+def _check_partition(cells: list[int], full: int) -> None:
+    """Raise GraphError unless ``cells`` are nonempty disjoint masks whose
+    union is ``full``."""
+    seen = 0
+    for c in cells:
+        if not isinstance(c, int) or c <= 0 or c & seen or c & ~full:
+            raise GraphError(f"cells {cells!r} are no partition of the vertices into nonempty cells")
+        seen |= c
+    if seen != full:
+        raise GraphError(f"cells {cells!r} miss vertices of {full:#b}")
 
 
 def are_rooted_isomorphic(a: RootedGraph, b: RootedGraph) -> bool:
@@ -240,10 +271,18 @@ def _twin_swaps(adj: tuple[int, ...], root: int | None) -> list[tuple[int, ...]]
 
 
 def _search(
-    adj: tuple[int, ...], n: int, init_cells: list[int], seeds: list[tuple[int, ...]]
+    adj: tuple[int, ...],
+    n: int,
+    init_cells: list[int],
+    seeds: list[tuple[int, ...]],
+    equitable: bool = False,
 ) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Minimal encoding, a labeling achieving it and automorphisms that
     generate the root-fixing automorphism group Aut.
+
+    The root node refines ``init_cells``; when ``equitable`` says that they
+    are already their own refinement, it passes every cell to ``_refine`` as
+    stable, which then splits nothing.
 
     A leaf that ties with the best leaf differs from it by an automorphism,
     which maps each vertex of the one to the vertex at the same position in
@@ -400,7 +439,7 @@ def _search(
                 return resume
         return depth
 
-    descend(list(init_cells), (), frozenset(), list(seeds))
+    descend(list(init_cells), (), frozenset(init_cells) if equitable else frozenset(), list(seeds))
     COUNTERS["searches"] += 1
     COUNTERS["nodes"] += nodes
     return best_code, tuple(best_perm), tuple(autos)

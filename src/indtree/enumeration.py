@@ -32,7 +32,8 @@ holds only it and its false twins. The refinement stops as soon as the
 last cell settles either question, since later splits only shrink it.
 Below the last level, a candidate whose finished partition has twin
 classes for cells is accepted with that group, since no automorphism moves
-a vertex out of its cell. Only the other candidates are labeled.
+a vertex out of its cell. Only the other candidates are labeled, and canon's
+search starts at their finished partition rather than refining them again.
 
 Orders 1..MAX_N are accepted. A default budget is the caller's: n = 12
 runs far longer than n = 11, and the CLI asks for a flag before it starts
@@ -153,7 +154,10 @@ def _children(g: Graph, group: Group, leaves: bool) -> Iterator[tuple[Graph, Gro
     its cells of two or more vertices as ``TwinClasses``. Otherwise the
     child is labeled, and yielded with the stored automorphisms, or with
     its twin classes when canon stored only the twin swaps, which then
-    generate the group.
+    generate the group. Its cells go to ``canonical_labeling`` as the
+    refinement the search starts at. They are finished at either level: a
+    leaf's refinement stops early only when its last cell misses the new
+    vertex or is the new vertex alone, and both decide the leaf unlabeled.
     """
     m = g.n
     new = m
@@ -221,7 +225,7 @@ def _children(g: Graph, group: Group, leaves: bool) -> Iterator[tuple[Graph, Gro
                 yield child, TwinClasses(c for c in cells if c & (c - 1))
                 continue
         COUNTERS["labelings"] += 1
-        form, perm = canonical_labeling(child)
+        form, perm = canonical_labeling(child, cells=cells)
         # new's orbit holds the vertex in the final canonical position
         if _closure(1 << new, form.automorphisms) >> perm.index(m) & 1:
             autos = form.automorphisms

@@ -20,6 +20,9 @@ _N_SHORT_MAX = 62
 _N_MEDIUM_MAX = 258047
 _N_LONG_MAX = 68719476735
 
+# _REVERSED[x] is the 6-bit x with its bits in reverse order
+_REVERSED = bytes(int(f"{x:06b}"[::-1], 2) for x in range(64))
+
 # rows are n-bit ints, so a graph can take n * n / 8 bytes: 512 MiB here
 MAX_EDGE_LIST_N = 1 << 16
 
@@ -45,17 +48,25 @@ def to_graph6(g: Graph) -> bytes:
         raise GraphError(f"graph6 cannot encode n={n}")
     adj = g.adj
     out = bytearray(head)
-    group = 0
+    group = 0  # the bits of the group being filled, first bit highest
     filled = 0
     for j in range(1, n):
+        # column j is bits 0..j-1 of row j, lowest first: taken six at a
+        # time and reversed, so the first bit comes out highest
         col = adj[j]
-        for i in range(j):
-            group = group << 1 | (col >> i & 1)
-            filled += 1
-            if filled == 6:
-                out.append(63 + group)
-                group = 0
-                filled = 0
+        i = 0
+        while j - i > 6:  # six bits close the group and leave ``filled`` bits over
+            group = group << 6 | _REVERSED[col >> i & 63]
+            out.append(63 + (group >> filled))
+            group &= (1 << filled) - 1
+            i += 6
+        take = j - i  # 1..6; the shift drops the reversed bits of rows >= j
+        group = group << take | _REVERSED[col >> i & 63] >> 6 - take
+        filled += take
+        if filled >= 6:
+            filled -= 6
+            out.append(63 + (group >> filled))
+            group &= (1 << filled) - 1
     if filled:
         out.append(63 + (group << (6 - filled)))
     return bytes(out)

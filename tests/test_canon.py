@@ -577,3 +577,36 @@ def test_twin_cell_labelings_are_pinned():
             labelings += 1
     assert labelings == 2660
     assert h.hexdigest() == "c3516109d91b7dfe16e060c151e970cbb06cf65803088774d5e9b0da7549f056"
+
+
+def test_handed_refinement_keeps_the_labeling():
+    # a caller that holds the equitable refinement of the unit partition
+    # hands it over and the search starts at it: on a seeded random corpus
+    # and the twin-heavy one, the form, the labeling, the stored
+    # automorphisms and the search's node count are those of the plain call
+    rng = random.Random(43)
+    corpus = [random_graph(rng, rng.randint(0, 11), rng.random()) for _ in range(1000)]
+    for g in corpus + twin_heavy_graphs():
+        start = canon.COUNTERS["nodes"]
+        plain, plain_perm = canonical_labeling(g)
+        middle = canon.COUNTERS["nodes"]
+        form, perm = canonical_labeling(g, cells=unit_refinement(g))
+        assert (form.data, perm, form.automorphisms) == (plain.data, plain_perm, plain.automorphisms)
+        assert canon.COUNTERS["nodes"] - middle == middle - start
+
+
+@pytest.mark.parametrize(
+    "cells, root",
+    [
+        ([0b0011, 0b0110, 0b1000], None),  # overlapping cells
+        ([0b0011, 0b0100], None),  # vertex 3 in no cell
+        ([0b0011, 0, 0b1100], None),  # an empty cell
+        ([0b0011, 0b11100], None),  # a vertex outside the graph
+        ([0b1001, 0b0110], 0),  # the unit refinement, given with a root
+    ],
+)
+def test_malformed_handed_cells_raise(cells, root):
+    g = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3)])
+    assert unit_refinement(g) == [0b1001, 0b0110]
+    with pytest.raises(GraphError):
+        canonical_labeling(g, root, cells=cells)

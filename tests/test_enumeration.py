@@ -357,8 +357,8 @@ def test_orbit_accept_agrees_with_rooted_isomorphism(monkeypatch):
         candidates[id(adj)] = adj
         return refine(adj, cells, *args, **kwargs)
 
-    def labeling(child):
-        form, perm = label(child)
+    def labeling(child, *, cells):
+        form, perm = label(child, cells=cells)
         orbit = _orbit(1 << (child.n - 1), form.automorphisms)
         orbits[id(child.adj)] = [mask.bit_length() - 1 for mask in orbit]
         return form, perm
@@ -426,6 +426,28 @@ def test_early_last_cell_gives_the_full_verdict(monkeypatch):
     }
     # some finishing refinements split further, and some find the cells equitable
     assert set(finishes) == {False, True}
+
+
+def test_labeled_candidates_come_with_their_refinement(monkeypatch):
+    # every candidate labeled in the walks up to order 9 is handed to canon
+    # with the equitable refinement of its unit partition, where _children
+    # left it, and the labeling from those cells is the plain one
+    label = enumeration.canonical_labeling
+    labeled = 0
+
+    def labeling(child, *, cells):
+        nonlocal labeled
+        labeled += 1
+        assert cells == canon._refine(child.adj, [child.full_mask])
+        form, perm = label(child, cells=cells)
+        plain, plain_perm = label(child)
+        assert (form.data, perm, form.automorphisms) == (plain.data, plain_perm, plain.automorphisms)
+        return form, perm
+
+    monkeypatch.setattr(enumeration, "canonical_labeling", labeling)
+    for n in range(1, 10):
+        sum(1 for _ in enumerate_connected_triangle_free(n))
+    assert labeled == 754
 
 
 # per order: labeling search nodes; the candidate sets of the last level;

@@ -30,11 +30,13 @@ def test_known_encodings():
 
 
 def test_matches_networkx_encoder():
+    # every n up to 70 puts the column ends at every offset in a 6-bit
+    # group, and crosses the one-byte header's limit of 62
     rng = random.Random(5)
-    for _ in range(300):
-        n = rng.randrange(0, 31)
-        g = random_graph(rng, n, 0.3)
-        assert to_graph6(g) == nx.to_graph6_bytes(to_nx(g), header=False).strip()
+    for n in range(71):
+        for p in (0.0, 0.3, 0.7, 1.0):
+            g = random_graph(rng, n, p)
+            assert to_graph6(g) == nx.to_graph6_bytes(to_nx(g), header=False).strip()
 
 
 def test_roundtrip_medium_header():
