@@ -98,7 +98,6 @@ def canonical_labeling(
         if root is not None:
             raise GraphError("cells are the unrooted refinement; give no root with them")
         _check_partition(cells, full)
-        start = cells  # _search copies the cells it splits
     elif root is None:
         start = [full]
     elif isinstance(root, int) and 0 <= root < n:
@@ -107,7 +106,9 @@ def canonical_labeling(
         raise GraphError(f"root {root} outside 0..{n - 1}")
     if n == 0:
         return CanonicalForm(_pack(0, False, 0)), ()
-    code, perm, autos = _search(g.adj, n, start, _twin_swaps(g.adj, root), cells is not None)
+    if cells is None:
+        cells = _refine(g.adj, start)
+    code, perm, autos = _search(g.adj, n, cells, _twin_swaps(g.adj, root))
     return CanonicalForm(_pack(n, root is not None, code), autos), perm
 
 
@@ -275,14 +276,12 @@ def _search(
     n: int,
     init_cells: list[int],
     seeds: list[tuple[int, ...]],
-    equitable: bool = False,
 ) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Minimal encoding, a labeling achieving it and automorphisms that
     generate the root-fixing automorphism group Aut.
 
-    The root node refines ``init_cells``; when ``equitable`` says that they
-    are already their own refinement, it passes every cell to ``_refine`` as
-    stable, which then splits nothing.
+    ``init_cells`` is an equitable partition, so the root node passes every
+    cell to ``_refine`` as stable, and nothing splits there.
 
     A leaf that ties with the best leaf differs from it by an automorphism,
     which maps each vertex of the one to the vertex at the same position in
@@ -439,7 +438,7 @@ def _search(
                 return resume
         return depth
 
-    descend(list(init_cells), (), frozenset(init_cells) if equitable else frozenset(), list(seeds))
+    descend(list(init_cells), (), frozenset(init_cells), list(seeds))
     COUNTERS["searches"] += 1
     COUNTERS["nodes"] += nodes
     return best_code, tuple(best_perm), tuple(autos)

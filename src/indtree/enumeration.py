@@ -152,12 +152,12 @@ def _children(g: Graph, group: Group, leaves: bool) -> Iterator[tuple[Graph, Gro
     the cells, and its orbits are the cells. The new vertex lies in the
     last cell, so the child is accepted without a labeling and yielded with
     its cells of two or more vertices as ``TwinClasses``. Otherwise the
-    child is labeled, and yielded with the stored automorphisms, or with
-    its twin classes when canon stored only the twin swaps, which then
-    generate the group. Its cells go to ``canonical_labeling`` as the
-    refinement the search starts at. They are finished at either level: a
-    leaf's refinement stops early only when its last cell misses the new
-    vertex or is the new vertex alone, and both decide the leaf unlabeled.
+    child is labeled, and yielded with the automorphisms that canon
+    stored, which generate its group. Its cells go to
+    ``canonical_labeling`` as the equitable partition that the search
+    starts at. They are finished at either level: a leaf's refinement
+    stops early only when its last cell misses the new vertex or is the new
+    vertex alone, and both decide the leaf unlabeled.
     """
     m = g.n
     new = m
@@ -228,11 +228,7 @@ def _children(g: Graph, group: Group, leaves: bool) -> Iterator[tuple[Graph, Gro
         form, perm = canonical_labeling(child, cells=cells)
         # new's orbit holds the vertex in the final canonical position
         if _closure(1 << new, form.automorphisms) >> perm.index(m) & 1:
-            autos = form.automorphisms
-            if not leaves and len(autos) == m + 1 - len(set(child.adj)):
-                yield child, _twin_classes(child.adj)  # only the twin swaps were stored
-            else:
-                yield child, autos
+            yield child, form.automorphisms
 
 
 def _orbit(s: int, autos: Automorphisms) -> set[int]:
@@ -265,14 +261,6 @@ def _leads_its_orbit(s: int, twins: TwinClasses) -> bool:
         if x != c & ((1 << x.bit_length()) - 1):
             return False
     return True
-
-
-def _twin_classes(adj: tuple[int, ...]) -> TwinClasses:
-    """The twin classes of two or more vertices of the graph with rows ``adj``."""
-    classes: dict[int, int] = {}
-    for v, row in enumerate(adj):
-        classes[row] = classes.get(row, 0) | 1 << v
-    return TwinClasses(c for c in classes.values() if c & (c - 1))
 
 
 def _components(g: Graph) -> list[int]:

@@ -76,17 +76,17 @@ def from_graph6(data: bytes | str) -> Graph:
     """Decode one graph6 byte string into a Graph.
 
     Rejects malformed headers, bytes outside 63..126, truncation, trailing
-    garbage, and nonzero padding bits, reporting the byte offset.
+    garbage, and nonzero padding bits, reporting the byte offset into
+    ``data`` as given, ">>graph6<<" header included.
     """
     if isinstance(data, str):
         try:
             data = data.encode("ascii")
         except UnicodeEncodeError as exc:
             raise Graph6ParseError("non-ASCII character in graph6 string", exc.start) from None
-    if data.startswith(_HEADER_PREFIX):
-        data = data[len(_HEADER_PREFIX):]
-    if not data:
-        raise Graph6ParseError("empty graph6 string", 0)
+    start = len(_HEADER_PREFIX) if data.startswith(_HEADER_PREFIX) else 0
+    if len(data) == start:
+        raise Graph6ParseError("empty graph6 string", start)
 
     def sextet(i: int) -> int:
         if i >= len(data):
@@ -96,23 +96,23 @@ def from_graph6(data: bytes | str) -> Graph:
             raise Graph6ParseError(f"byte {b} outside graph6 range 63..126", i)
         return b - 63
 
-    if data[0] != 126:
-        n = sextet(0)
-        body = 1
-    elif len(data) >= 2 and data[1] != 126:
+    if data[start] != 126:
+        n = sextet(start)
+        body = start + 1
+    elif len(data) > start + 1 and data[start + 1] != 126:
         n = 0
-        for i in range(1, 4):
+        for i in range(start + 1, start + 4):
             n = n << 6 | sextet(i)
         if n <= _N_SHORT_MAX:
-            raise Graph6ParseError(f"overlong header for n={n}", 0)
-        body = 4
+            raise Graph6ParseError(f"overlong header for n={n}", start)
+        body = start + 4
     else:
         n = 0
-        for i in range(2, 8):
+        for i in range(start + 2, start + 8):
             n = n << 6 | sextet(i)
         if n <= _N_MEDIUM_MAX:
-            raise Graph6ParseError(f"overlong header for n={n}", 0)
-        body = 8
+            raise Graph6ParseError(f"overlong header for n={n}", start)
+        body = start + 8
 
     nbits = n * (n - 1) // 2
     ngroups = (nbits + 5) // 6

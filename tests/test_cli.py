@@ -140,6 +140,11 @@ def test_solve_rooted_json(tmp_path, capsys):
     assert 2 in rows[0]["witness"]
 
 
+def test_solve_rooted_text(tmp_path, capsys):
+    assert run(["solve", "--input", str(c5_file(tmp_path)), "--root", "2"]) == 0
+    assert capsys.readouterr().out == "t=4 root=2 witness=[0,1,2,3]\n"
+
+
 def test_solve_multiple_graph6_lines(tmp_path, capsys):
     path = tmp_path / "two.g6"
     path.write_text("Bg\nA_\n")

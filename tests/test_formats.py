@@ -96,6 +96,24 @@ def test_rejects_garbage():
         from_graph6(b"~")  # bare medium header
 
 
+@pytest.mark.parametrize("prefix", [b"", b">>graph6<<"])
+@pytest.mark.parametrize(
+    "body, match, offset",
+    [
+        (b"B\x00", "outside graph6 range", 1),  # the body's first byte
+        (b"B", "truncated", 1),  # one past the end
+        (b"B??", "trailing garbage", 2),  # the first byte after the body
+        (b"BA", "padding", 1),  # the group that holds the padding bits
+        (b"~??B?", "overlong header", 0),  # n = 3 in the medium form
+        (b"~~?????B?", "overlong header", 0),  # n = 3 in the long form
+    ],
+)
+def test_error_offsets_count_the_optional_header(prefix, body, match, offset):
+    with pytest.raises(Graph6ParseError, match=match) as exc:
+        from_graph6(prefix + body)
+    assert exc.value.offset == len(prefix) + offset
+
+
 def test_rejects_non_ascii():
     with pytest.raises(Graph6ParseError) as exc:
         from_graph6("D\u00e9")

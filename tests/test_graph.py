@@ -48,6 +48,21 @@ def test_from_edge_list_rejects_bad_input():
         Graph.from_edge_list(-1, [])
 
 
+@pytest.mark.parametrize(
+    "n, rows, match",
+    [
+        (3, [0b010, 0b001], "expected 3 adjacency rows, got 2"),
+        (2, [0b110, 0b001], "row 0 has bits outside 0..1"),
+        (2, [-1, 0], "row 0 has bits outside 0..1"),
+        (2, [0b000, 0b010], "self-loop at vertex 1"),
+        (3, [0b010, 0b000, 0b000], r"asymmetric edge \(0, 1\)"),
+    ],
+)
+def test_graph_rejects_bad_rows(n, rows, match):
+    with pytest.raises(GraphError, match=match):
+        Graph(n, rows)
+
+
 def test_rooted_graph_validates_root():
     g = Graph.from_edge_list(2, [(0, 1)])
     assert RootedGraph(g, 1).root == 1
