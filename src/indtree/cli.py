@@ -1,11 +1,15 @@
 """Command line interface.
 
-Subcommands: construct, solve, enumerate, tabulate, verify. Exit codes:
+Subcommands: construct, solve, enumerate, tabulate, verify. Each subparser
+carries its handler (``set_defaults(handler=...)``), which ``run`` calls once
+``_check_flags`` has passed; argparse is the one routing table. Exit codes:
 0 success (and claim verified), 1 claim falsified, 2 usage or input error,
 141 (128 + SIGPIPE) stdout closed by its reader, as by a pipe into ``head``.
 Graphs are read as graph6 lines or as edge-list text ("n m" header then one
 "u v" pair per line); output format mirrors the input conventions so
-subcommands pipe into each other.
+subcommands pipe into each other. solve builds one record per graph (n,
+root, t, witness): --json prints the list of records, the text form one line
+per record, with ``root=`` only when --root was given.
 The library walks any order in 1..MAX_N (12); the budget is this module's:
 enumerate, tabulate and verify stop at order DEFAULT_MAX_N (11) unless given
 --override-budget, since n = 12 runs far longer than n = 11.
@@ -63,20 +67,24 @@ def _parser() -> argparse.ArgumentParser:
     c.add_argument("--m", type=int, help="side size for knn-minus-pm")
     c.add_argument("--format", choices=("graph6", "edgelist"), help="default graph6")
     c.add_argument("--json", action="store_true")
+    c.set_defaults(handler=_cmd_construct)
 
     s = sub.add_parser("solve", help="compute the maximum induced tree")
     s.add_argument("--input", required=True, help="file of graph6 lines or edge list; - for stdin")
     s.add_argument("--root", type=int, help="require the tree to contain this vertex")
     s.add_argument("--json", action="store_true")
+    s.set_defaults(handler=_cmd_solve)
 
     e = sub.add_parser("enumerate", help="list connected triangle-free graphs")
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--override-budget", action="store_true")
+    e.set_defaults(handler=_cmd_enumerate)
 
     t = sub.add_parser("tabulate", help="minimum tree numbers over all graphs of one order")
     t.add_argument("--n", type=int, required=True)
     t.add_argument("--override-budget", action="store_true")
     t.add_argument("--json", action="store_true")
+    t.set_defaults(handler=_cmd_tabulate)
 
     v = sub.add_parser("verify", help="check one of the extremal claims exhaustively")
     v.add_argument("--claim", required=True, choices=verify_mod.CLAIMS)
@@ -84,6 +92,7 @@ def _parser() -> argparse.ArgumentParser:
     v.add_argument("--k", type=int)
     v.add_argument("--json", action="store_true")
     v.add_argument("--override-budget", action="store_true")
+    v.set_defaults(handler=_cmd_verify)
     return top
 
 
@@ -92,7 +101,7 @@ def run(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         _check_flags(args, parser)
-        code = _dispatch(args)
+        code = args.handler(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:
@@ -146,26 +155,6 @@ def _check_flags(args: argparse.Namespace, parser: argparse.ArgumentParser) -> N
             parser.error(f"{owner} needs --{name.replace('_', '-')}")
 
 
-def _dispatch(args: argparse.Namespace) -> int:
-    if args.command == "construct":
-        return _cmd_construct(args)
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "enumerate":
-        for g in enumerate_connected_triangle_free(args.n):
-            print(to_graph6(g).decode("ascii"))
-        return 0
-    if args.command == "tabulate":
-        rep, elapsed = _timed_report(args, tabulate, n=args.n)
-        if not args.json:
-            _print_tabulate(rep)
-            print(f"elapsed: {elapsed:.3f}")
-        return 0
-    if args.command == "verify":
-        return _cmd_verify(args)
-    raise AssertionError(f"unhandled command {args.command}")
-
-
 def _timed_report(
     args: argparse.Namespace, call: Callable[..., EnumerationReport | VerificationReport], **values
 ) -> tuple[EnumerationReport | VerificationReport, float]:
@@ -178,18 +167,6 @@ def _timed_report(
     if args.json:
         print(json.dumps({**rep.to_json_dict(), "elapsed": elapsed}, indent=2))
     return rep, elapsed
-
-
-def _print_tabulate(rep: EnumerationReport) -> None:
-    """One ``field: value`` line per report field; a rooted extremal instance
-    is written ``graph6:root`` (graph6 has no ':')."""
-    print(f"n: {rep.n}")
-    print(f"graphs_seen: {rep.graphs_seen}")
-    print(f"t3: {rep.t3}")
-    print(f"t3_star: {rep.t3_star}")
-    print(f"t3_star_formula: {rep.t3_star_formula}")
-    print("extremal_rooted: " + " ".join(f"{g6}:{v}" for g6, v in rep.extremal_rooted))
-    print("extremal_unrooted: " + " ".join(rep.extremal_unrooted))
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
@@ -233,35 +210,42 @@ def _read_graphs(path: str) -> list[Graph]:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    results = []
+    records = []
     for g in _read_graphs(args.input):
         if args.root is not None:
             res = max_induced_tree_through(RootedGraph(g, args.root))
         else:
             res = max_induced_tree(g)
-        results.append((g, res))
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "n": g.n,
-                        "root": res.required_root,
-                        "t": res.size,
-                        "witness": list(res.witness_vertices),
-                    }
-                    for g, res in results
-                ],
-                indent=2,
-            )
+        records.append(
+            {"n": g.n, "root": res.required_root, "t": res.size, "witness": list(res.witness_vertices)}
         )
+    if args.json:
+        print(json.dumps(records, indent=2))
     else:
-        for g, res in results:
-            witness = ",".join(str(v) for v in res.witness_vertices)
-            if res.required_root is not None:
-                print(f"t={res.size} root={res.required_root} witness=[{witness}]")
-            else:
-                print(f"t={res.size} witness=[{witness}]")
+        for r in records:
+            root = f" root={r['root']}" if r["root"] is not None else ""
+            print(f"t={r['t']}{root} witness=[{','.join(map(str, r['witness']))}]")
+    return 0
+
+
+def _cmd_enumerate(args: argparse.Namespace) -> int:
+    for g in enumerate_connected_triangle_free(args.n):
+        print(to_graph6(g).decode("ascii"))
+    return 0
+
+
+def _cmd_tabulate(args: argparse.Namespace) -> int:
+    rep, elapsed = _timed_report(args, tabulate, n=args.n)
+    if not args.json:
+        # a rooted extremal instance is written graph6:root (graph6 has no ':')
+        print(f"n: {rep.n}")
+        print(f"graphs_seen: {rep.graphs_seen}")
+        print(f"t3: {rep.t3}")
+        print(f"t3_star: {rep.t3_star}")
+        print(f"t3_star_formula: {rep.t3_star_formula}")
+        print("extremal_rooted: " + " ".join(f"{g6}:{v}" for g6, v in rep.extremal_rooted))
+        print("extremal_unrooted: " + " ".join(rep.extremal_unrooted))
+        print(f"elapsed: {elapsed:.3f}")
     return 0
 
 

@@ -28,10 +28,12 @@ MAX_EDGE_LIST_N = 1 << 16
 
 
 class Graph6ParseError(GraphError):
-    """Malformed graph6 input; ``offset`` is the first offending byte index."""
+    """Malformed graph6 input; ``offset`` is the first offending byte index
+    and ``reason`` the message without it."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.reason = message
         self.offset = offset
 
 
@@ -143,12 +145,25 @@ def from_graph6(data: bytes | str) -> Graph:
 
 
 def read_graph6_lines(text: bytes | str) -> list[Graph]:
-    """Parse one graph per nonempty line."""
+    """Parse one graph per nonempty line.
+
+    A parse error names its line: the message starts ``line K: ``, K counting
+    from 1 over ``text.splitlines()`` with blank lines included, and the
+    offset counts into that line as given, leading whitespace included.
+    """
     graphs = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            graphs.append(from_graph6(line))
+    lines = text.splitlines()
+    for line in lines:
+        data = line.strip()
+        if data:
+            try:
+                graphs.append(from_graph6(data))
+            except Graph6ParseError as exc:
+                # an equal line before this one would have raised already,
+                # so index finds this one
+                k = lines.index(line) + 1
+                lead = len(line) - len(line.lstrip())
+                raise Graph6ParseError(f"line {k}: {exc.reason}", lead + exc.offset) from None
     return graphs
 
 

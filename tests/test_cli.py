@@ -192,6 +192,14 @@ def test_solve_non_ascii_input_exits_two(tmp_path, capsys, monkeypatch):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_names_the_graph6_line_that_fails(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("Bg\nBg\n  B\n"))
+    assert run(["solve", "--input", "-"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: line 3: truncated graph6 string (byte offset 3)\n"
+
+
 @pytest.mark.parametrize("header", ["9223372036854775808 0", "1000000000000000000 0"])
 def test_solve_unallocatable_header_exits_two(header, capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(header + "\n"))

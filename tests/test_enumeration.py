@@ -204,7 +204,8 @@ def test_children_reach_every_triangle_free_graph():
     assert counts == [1, 2, 3, 7, 14, 38, 107, 410, 1897]
 
 
-def test_level_sets_by_vertex_extension_equal_the_walk(enum_cache):
+@pytest.mark.parametrize("top", [9, pytest.param(10, marks=pytest.mark.slow)])
+def test_level_sets_by_vertex_extension_equal_the_walk(top, enum_cache):
     # a second generator, sharing nothing with the walk but canonical_form:
     # extend every class by a new vertex joined to a nonempty independent
     # set, keep one graph per form. Complete, since a connected graph on two
@@ -212,7 +213,7 @@ def test_level_sets_by_vertex_extension_equal_the_walk(enum_cache):
     # connected triangle-free graph.
     k1 = Graph.from_edge_list(1, [])
     level = {canonical_form(k1).data: k1}
-    for n in range(2, 10):
+    for n in range(2, top + 1):
         nxt = {}
         for g in level.values():
             independent = [0]

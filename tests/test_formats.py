@@ -124,6 +124,22 @@ def test_rejects_non_ascii():
         read_graph6_lines("Bg\nD\u00e9\n")
 
 
+@pytest.mark.parametrize("encode", [False, True])
+@pytest.mark.parametrize(
+    "text, message, offset",
+    [
+        ("Bg\nBg\n  B\n", "line 3: truncated graph6 string", 3),
+        ("Bg\n  Bx\n", "line 2: nonzero padding bit", 3),
+        ("Bg\n\n\tB\x01\n", "line 3: byte 1 outside graph6 range 63..126", 2),
+    ],
+)
+def test_line_errors_name_the_line_and_count_its_leading_whitespace(text, message, offset, encode):
+    with pytest.raises(Graph6ParseError) as exc:
+        read_graph6_lines(text.encode("ascii") if encode else text)
+    assert str(exc.value) == f"{message} (byte offset {offset})"
+    assert exc.value.offset == offset
+
+
 def test_truncation_is_found_before_rows_are_allocated():
     # a long header claiming 2^20 vertices over a two-byte body; rows for
     # that n would take megabytes

@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -61,6 +62,28 @@ def test_from_edge_list_rejects_bad_input():
 def test_graph_rejects_bad_rows(n, rows, match):
     with pytest.raises(GraphError, match=match):
         Graph(n, rows)
+
+
+@pytest.mark.parametrize("n, cause", [(1 << 61, MemoryError), (1 << 63, OverflowError)])
+def test_from_edge_list_refuses_an_unallocatable_order_before_allocating(n, cause):
+    # 2^61 rows of 8-byte pointers overflow the list size check; 2^63 does
+    # not fit a Py_ssize_t
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="cannot allocate") as exc:
+            Graph.from_edge_list(n, [])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(exc.value.__context__, cause)
+    assert peak < 1 << 16
+
+
+def test_graph_is_never_equal_to_a_non_graph():
+    g = Graph.from_edge_list(2, [(0, 1)])
+    assert g.__eq__(5) is NotImplemented
+    assert not g == 5
+    assert g != 5
 
 
 def test_rooted_graph_validates_root():
