@@ -152,16 +152,12 @@ def read_graph6_lines(text: bytes | str) -> list[Graph]:
     offset counts into that line as given, leading whitespace included.
     """
     graphs = []
-    lines = text.splitlines()
-    for line in lines:
+    for k, line in enumerate(text.splitlines(), 1):
         data = line.strip()
         if data:
             try:
                 graphs.append(from_graph6(data))
             except Graph6ParseError as exc:
-                # an equal line before this one would have raised already,
-                # so index finds this one
-                k = lines.index(line) + 1
                 lead = len(line) - len(line.lstrip())
                 raise Graph6ParseError(f"line {k}: {exc.reason}", lead + exc.offset) from None
     return graphs

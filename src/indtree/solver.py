@@ -338,10 +338,6 @@ def brute_force_t(g: Graph, root: int | None = None) -> TreeSearchResult:
         if is_induced_tree(g, s):
             best_size = s.bit_count()
             best_set = s
-    if best_size == 0:
-        # root given but isolated is impossible: the singleton is a tree
-        raise AssertionError("subset scan found no tree at all")
-    _check_witness(g, best_size, best_set, root)
     return TreeSearchResult(best_size, best_set, root, SearchStats(tested, 0))
 
 

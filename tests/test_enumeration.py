@@ -105,6 +105,8 @@ def test_budget_enforced():
     with pytest.raises(GraphError):
         list(enumerate_connected_triangle_free(13))
     with pytest.raises(GraphError):
+        tabulate(0)
+    with pytest.raises(GraphError):
         tabulate(13)
 
 

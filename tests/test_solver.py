@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,7 @@ from indtree import (
 )
 from indtree.solver import _search
 
-from helpers import ladder, random_corpus, random_graph, random_triangle_free
+from helpers import ladder, random_corpus, random_graph, random_triangle_free, to_nx
 
 
 def c_n(n):
@@ -101,6 +102,37 @@ def test_matches_brute_force_exhaustive_small(enum_cache):
                     max_induced_tree_through(RootedGraph(g, v)).size
                     == brute_force_t(g, v).size
                 )
+
+
+def assert_oracle_witness(g, root=None):
+    """brute_force_t's witness, checked by networkx rather than by indtree."""
+    res = brute_force_t(g, root)
+    verts = res.witness_vertices
+    assert len(verts) == res.size
+    assert root is None or root in verts
+    assert nx.is_tree(to_nx(g).subgraph(verts))
+    return res
+
+
+def test_oracle_witnesses_are_trees_by_networkx(enum_cache):
+    for n in range(1, 8):
+        for g in enum_cache(n):
+            assert_oracle_witness(g)
+            for v in range(n):
+                assert_oracle_witness(g, v)
+    # edgeless: every tree is a single vertex, so the answer is the root alone
+    for n in range(1, 7):
+        g = Graph.from_edge_list(n, [])
+        for v in range(n):
+            res = assert_oracle_witness(g, v)
+            assert (res.size, res.witness) == (1, 1 << v)
+    rng = random.Random(25)
+    for _ in range(40):
+        n = rng.randrange(1, 10)
+        g = random_graph(rng, n, rng.random() * 0.6)
+        assert_oracle_witness(g)
+        for v in range(n):
+            assert_oracle_witness(g, v)
 
 
 def all_roots_subset_scan(g):
