@@ -6,10 +6,12 @@ Measures two source trees in one interpreter: ``src/`` of git revision REV,
 extracted with ``git archive`` into a temporary directory and imported as
 the package ``indtree_before``, and ``src/`` of this checkout, imported as
 ``indtree``. Every run measures the same GROUPS: one enumeration walk
-``enumerate_connected_triangle_free(n)`` for n = 7..10, then
+``enumerate_connected_triangle_free(n)`` for n = 7..10; then
 ``max_induced_tree`` once per graph plus ``max_induced_tree_through`` and the
 refutation ``exists_induced_tree_through(rg, t(G, v) + 1)`` at every root over
-the n = 9 census, G_6, K_{m,m} minus a perfect matching for m = 6..8, the
+the n = 9 census; the claims' instance stream ``verify.rooted_census(9)``, its
+walk and t(G, v) at every root as the rooted claims read it; and the solves
+as above over G_6, K_{m,m} minus a perfect matching for m = 6..8, the
 2 x 16 ladder (rails 0..15 and 16..31, rung i joining i and 16 + i) and
 RANDOM_GRAPHS seeded random connected triangle-free graphs on 16, 17 and 18
 vertices in turn (a random spanning tree plus n..2n edges that close no
@@ -60,7 +62,7 @@ from typing import Callable, Iterator
 ROOT = Path(__file__).resolve().parent.parent
 GROUPS = (
     "enumerate(7)", "enumerate(8)", "enumerate(9)", "enumerate(10)",
-    "census(9)", "g_k(6)", "knn_minus_pm(6)", "knn_minus_pm(7)", "knn_minus_pm(8)",
+    "census(9)", "rooted_census(9)", "g_k(6)", "knn_minus_pm(6)", "knn_minus_pm(7)", "knn_minus_pm(8)",
     "ladder(16)", "random(16..18)",
 )
 PAIRS = 30
@@ -152,6 +154,11 @@ def measure(pkg: ModuleType, group: str) -> tuple[dict, Callable[[], list]]:
 
         def work():
             return list(pkg.enumerate_connected_triangle_free(n))
+    elif name == "rooted_census":
+        gs = []
+
+        def work():
+            return list(pkg.verify.rooted_census(n))
     else:
         if name == "census":
             gs = list(pkg.enumerate_connected_triangle_free(n))
@@ -174,7 +181,8 @@ def measure(pkg: ModuleType, group: str) -> tuple[dict, Callable[[], list]]:
     except AttributeError as exc:
         sys.exit(f"{exc}: the tree predates the counters record")
     results = work()
-    row = {"group": group, "graphs": len(results) if name == "enumerate" else len(gs)}
+    walks = name in ("enumerate", "rooted_census")
+    row = {"group": group, "graphs": len(results) if walks else len(gs)}
     # the run's work in canon, enumeration and solver: each record's differences
     for layer, module, start in zip(("canon", "enumeration", "solver"), modules, starts):
         row[layer] = {k: module.COUNTERS[k] - v for k, v in start.items()}
@@ -184,6 +192,8 @@ def measure(pkg: ModuleType, group: str) -> tuple[dict, Callable[[], list]]:
     for r in results:
         if name == "enumerate":
             result = value = pkg.to_graph6(r) + b"\n"
+        elif name == "rooted_census":
+            result = value = repr(r[1]).encode()  # r is (g, sizes)
         elif isinstance(r, bool):
             result = value = repr(("refuted", r)).encode()
         else:

@@ -34,6 +34,7 @@ from .solver import (
     exists_induced_tree_through,
     max_induced_tree,
     max_induced_tree_through,
+    rooted_tree_numbers,
 )
 from .verify import (
     CLAIMS,
@@ -83,6 +84,7 @@ __all__ = [
     "max_induced_tree_through",
     "read_graph6_lines",
     "rooted_census",
+    "rooted_tree_numbers",
     "t3_star_formula",
     "tabulate",
     "to_edge_list_text",

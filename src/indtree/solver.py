@@ -12,15 +12,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, RootedGraph, is_induced_tree, vertex_list
+from .graph import Graph, GraphError, RootedGraph, bits, is_induced_tree, vertex_list
 
 _BRUTE_FORCE_MAX_N = 20
 
 # work done since import, read as differences around a run: per entry point,
 # rooted (max_induced_tree_through), unrooted (max_induced_tree, one call
 # however many roots it searches) and exists (exists_induced_tree_through),
-# its calls and the nodes and prunings of their searches. The keys are
-# literals, which are interned, so the increments below match them by identity
+# its calls and the nodes and prunings of their searches. A rooted call with
+# a ``known`` tree counts once, with the nodes and prunings of its floored
+# search. The keys are literals, which are interned, so the increments below
+# match them by identity
 COUNTERS = {
     "rooted_calls": 0, "rooted_nodes": 0, "rooted_prunings": 0,
     "unrooted_calls": 0, "unrooted_nodes": 0, "unrooted_prunings": 0,
@@ -249,14 +251,54 @@ def _search(
     return best_set.bit_count(), best_set, SearchStats(nodes, prunings)
 
 
-def max_induced_tree_through(rg: RootedGraph) -> TreeSearchResult:
-    """t(G, v): largest induced tree containing the root."""
-    size, witness, stats = _search(rg.graph, rg.root)
+def max_induced_tree_through(rg: RootedGraph, known: int = 0) -> TreeSearchResult:
+    """t(G, v): largest induced tree containing the root.
+
+    ``known`` is the vertex mask of an induced tree through the root that the
+    caller already holds, or 0. The search is floored at its size, so it
+    looks only for larger trees: it finds the witness an unfloored search
+    finds when there is one (see ``_search``), and returns ``known`` itself
+    when there is none. A nonzero ``known`` that is not an induced tree of
+    the graph holding the root raises GraphError before any search.
+    """
+    g = rg.graph
+    root = rg.root
+    if known and not (is_induced_tree(g, known) and known >> root & 1):
+        raise GraphError(f"known {known:#x} is not an induced tree through the root {root}")
+    size, witness, stats = _search(g, root, floor=known.bit_count())
     COUNTERS["rooted_calls"] += 1
     COUNTERS["rooted_nodes"] += stats.nodes
     COUNTERS["rooted_prunings"] += stats.prunings
-    _check_witness(rg.graph, size, witness, rg.root)
-    return TreeSearchResult(size, witness, rg.root, stats)
+    if known and not size:
+        # nothing larger: known, checked above, is the answer
+        size = known.bit_count()
+        witness = known
+    else:
+        _check_witness(g, size, witness, root)
+    return TreeSearchResult(size, witness, root, stats)
+
+
+def rooted_tree_numbers(g: Graph) -> tuple[TreeSearchResult, ...]:
+    """t(G, v) for every root v, in root order.
+
+    One max_induced_tree_through call per root. A tree of s vertices found
+    through one root shows t(G, u) >= s for every vertex u in it, so each
+    call is passed as ``known`` the largest witness found so far that holds
+    its root, and searches only for larger trees.
+    """
+    best = [0] * g.n  # best[u]: the largest witness so far that holds u
+    results = []
+    for v in range(g.n):
+        known = best[v]
+        r = max_induced_tree_through(RootedGraph(g, v), known=known)
+        results.append(r)
+        if r.witness != known:
+            # larger than known: it raises the roots after v that it holds
+            size = r.witness.bit_count()
+            for u in bits(r.witness & -(2 << v)):
+                if best[u].bit_count() < size:
+                    best[u] = r.witness
+    return tuple(results)
 
 
 def max_induced_tree(g: Graph) -> TreeSearchResult:

@@ -25,9 +25,12 @@ The claims, in the verifier's vocabulary:
   at most k, none has more vertices than B_k.
 
 The rooted claims read one instance stream, rooted_census: every class of
-one order with t(G, v) for each root. tabulate reduces that stream to the
-exact minima t3(n) and t3_star(n) with their extremal witnesses, which the
-corollary and the ``tabulate`` command report.
+one order with t(G, v) for each root. The census floors each root's search
+at the largest tree already found through it by an earlier root, since a
+tree found through one vertex bounds t(G, u) from below at every vertex u
+in it; it still makes one rooted solve per (G, v). tabulate reduces that
+stream to the exact minima t3(n) and t3_star(n) with their extremal
+witnesses, which the corollary and the ``tabulate`` command report.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .constructions import b_k_order, build_b_k, build_g_k, build_knn_minus_pm, 
 from .enumeration import _check_order, enumerate_connected_triangle_free
 from .formats import to_graph6
 from .graph import Graph, GraphError, RootedGraph, closed_neighborhood, diameter
-from .solver import max_induced_tree, max_induced_tree_through
+from .solver import max_induced_tree, rooted_tree_numbers
 
 # claim -> the parameters of verify_<claim>, in the order the CLI asks for them
 CLAIMS = {
@@ -93,11 +96,13 @@ def t3_star_formula(n: int) -> int:
 def rooted_census(n: int) -> Iterator[tuple[Graph, tuple[int, ...]]]:
     """Yield (g, sizes) for every class on n vertices, sizes[v] = t(G, v).
 
-    One enumeration walk and one rooted solve per (G, v). Every exhaustive
-    claim over rooted graphs reads this stream; t(G) is max(sizes).
+    One enumeration walk and one rooted solve per (G, v), through
+    rooted_tree_numbers: each root's search is floored at the largest tree
+    already found through it. Every exhaustive claim over rooted graphs reads
+    this stream; t(G) is max(sizes).
     """
     for g in enumerate_connected_triangle_free(n):
-        yield g, tuple(max_induced_tree_through(RootedGraph(g, v)).size for v in range(n))
+        yield g, tuple(r.size for r in rooted_tree_numbers(g))
 
 
 def tabulate(n: int) -> EnumerationReport:

@@ -68,6 +68,21 @@ def test_random_group_solves_triangle_free_graphs_on_16_to_18_vertices():
     assert row["values_sha256"] != row["results_sha256"]
 
 
+def test_rooted_census_group_runs_the_claims_instance_stream():
+    # one walk and one rooted solve per (G, v) of the n = 9 census, digested
+    # by its sizes alone
+    bench = load_bench()
+    row, _ = bench.measure(indtree, "rooted_census(9)")
+    assert row["graphs"] == 1380 and row["enumeration"]["walks"] == 1
+    s = row["solver"]
+    assert s["rooted_calls"] == 12420 and s["unrooted_calls"] == s["exists_calls"] == 0
+    assert row["values_sha256"] == row["results_sha256"]
+    sizes = hashlib.sha256()
+    for _, t in indtree.rooted_census(9):
+        sizes.update(repr(t).encode())
+    assert row["values_sha256"] == sizes.hexdigest()
+
+
 def test_pairs_alternate_which_work_runs_first(monkeypatch):
     bench = load_bench()
     monkeypatch.setattr(bench, "PAIRS", 4)

@@ -21,8 +21,10 @@ from indtree import (
     is_triangle_free,
     max_induced_tree,
     max_induced_tree_through,
+    rooted_tree_numbers,
     solver,
 )
+from indtree.graph import vertex_list
 from indtree.solver import _search
 
 from helpers import ladder, random_corpus, random_graph, random_triangle_free, to_nx
@@ -156,7 +158,15 @@ def test_all_roots_subset_scan_matches_the_census(n, roots, enum_cache):
     # every root of the census
     checked = 0
     for g in enum_cache(n):
-        assert all_roots_subset_scan(g) == [max_induced_tree_through(RootedGraph(g, v)).size for v in range(n)]
+        sizes = all_roots_subset_scan(g)
+        assert sizes == [max_induced_tree_through(RootedGraph(g, v)).size for v in range(n)]
+        # and the census's floored searches, with each witness a tree of the
+        # size through its root
+        numbers = rooted_tree_numbers(g)
+        assert [r.size for r in numbers] == sizes
+        for v, r in enumerate(numbers):
+            assert r.required_root == v and r.witness >> v & 1
+            assert r.witness.bit_count() == r.size and is_induced_tree(g, r.witness)
         checked += n
     assert checked == roots
 
@@ -419,6 +429,96 @@ def test_floor_keeps_the_witness_or_returns_nothing():
     assert triangles >= 10 and disconnected >= 10
 
 
+def test_a_known_tree_keeps_every_size_on_the_census(enum_cache):
+    # at every root v of the n <= 8 census, floored by each other root's
+    # witness that holds v: the size is t(G, v), the witness the unfloored
+    # one when it is larger than the known tree, and the known tree itself
+    # when nothing larger exists
+    floored = 0
+    for n in range(1, 9):
+        for g in enum_cache(n):
+            plain = [max_induced_tree_through(RootedGraph(g, v)) for v in range(n)]
+            for v, base in enumerate(plain):
+                for u, other in enumerate(plain):
+                    known = other.witness
+                    if u == v or not known >> v & 1:
+                        continue
+                    r = max_induced_tree_through(RootedGraph(g, v), known)
+                    assert r.size == base.size and r.required_root == v
+                    assert is_induced_tree(g, r.witness) and r.witness >> v & 1
+                    assert r.witness == (known if known.bit_count() == base.size else base.witness)
+                    floored += 1
+    assert floored > 1000
+
+
+def test_a_known_tree_below_t_returns_the_unfloored_witness():
+    # shed leaves other than the root from the unfloored witness, down to
+    # the root alone: each smaller tree as ``known`` finds that witness again
+    rng = random.Random(26)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        g = random_graph(rng, n, rng.random() * 0.6)
+        for v in range(n):
+            rg = RootedGraph(g, v)
+            base = max_induced_tree_through(rg)
+            known = base.witness
+            while known != 1 << v:
+                leaf = next(
+                    u for u in vertex_list(known)
+                    if u != v and (g.adj[u] & known).bit_count() == 1
+                )
+                known ^= 1 << leaf
+                r = max_induced_tree_through(rg, known)
+                assert (r.size, r.witness) == (base.size, base.witness)
+                checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize(
+    "known",
+    [
+        0b11111,  # the whole 5-cycle: not acyclic
+        0b00101,  # {0, 2}: not connected
+        0b01110,  # {1, 2, 3}: a path that misses the root 0
+        0b100011,  # {0, 1, 5}: vertex 5 is outside the graph
+    ],
+)
+def test_a_known_set_that_is_no_tree_through_the_root_is_refused(known, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr("indtree.solver._search", no_search)
+    with pytest.raises(GraphError):
+        max_induced_tree_through(RootedGraph(c_n(5), 0), known)
+
+
+def test_rooted_tree_numbers_match_brute_force_on_the_pinned_corpus():
+    for g in pinned_corpus():
+        numbers = rooted_tree_numbers(g)
+        assert [r.required_root for r in numbers] == list(range(g.n))
+        assert [r.size for r in numbers] == [brute_force_t(g, v).size for v in range(g.n)]
+
+
+def test_rooted_tree_numbers_make_one_rooted_call_per_root(monkeypatch):
+    # through the module's name, each floored by the largest witness so far
+    # that holds its root
+    real = max_induced_tree_through
+    calls = []
+
+    def spy(rg, known=0):
+        calls.append((rg.root, known))
+        return real(rg, known)
+
+    monkeypatch.setattr("indtree.solver.max_induced_tree_through", spy)
+    g = ladder(4)
+    numbers = rooted_tree_numbers(g)
+    assert [root for root, _ in calls] == list(range(g.n))
+    for v, known in calls:
+        earlier = [r.witness for r in numbers[:v] if r.witness >> v & 1]
+        assert known.bit_count() == max(map(int.bit_count, earlier), default=0)
+
+
 def test_every_exhaustive_search_counts_two_children_per_branch():
     # every node either branches in two or is pruned, so a search that runs
     # to the end has nodes == 2 * prunings - 1
@@ -465,21 +565,29 @@ def test_matches_oracle_on_arbitrary_graphs(case):
     assert max(max_induced_tree_through(RootedGraph(g, u)).size for u in range(g.n)) == res.size
 
 
+def pinned_corpus():
+    """80 seeded random graphs on 1..16 vertices, at least 10 of them with a
+    triangle and at least 10 disconnected."""
+    rng = random.Random(14)
+    gs = []
+    for _ in range(80):
+        n = rng.randint(1, 16)
+        gs.append(random_graph(rng, n, rng.random() * 0.6))
+    assert sum(not is_triangle_free(g) for g in gs) >= 10
+    assert sum(not is_connected(g) for g in gs) >= 10
+    return gs
+
+
 def pinned_corpus_digests():
     """sha256 of the values, of the witnesses and of the counters of every
-    search on a seeded corpus: the size of each max_induced_tree and
+    search on pinned_corpus: the size of each max_induced_tree and
     max_induced_tree_through call plus both exists answers per root, the
     witness of each of those calls, and (nodes, prunings) of each call."""
-    rng = random.Random(14)
     values = hashlib.sha256()
     witnesses = hashlib.sha256()
     counters = hashlib.sha256()
-    triangles = disconnected = 0
-    for _ in range(80):
-        n = rng.randint(1, 16)
-        g = random_graph(rng, n, rng.random() * 0.6)
-        triangles += not is_triangle_free(g)
-        disconnected += not is_connected(g)
+    for g in pinned_corpus():
+        n = g.n
         res = max_induced_tree(g)
         values.update(repr((res.size,)).encode())
         witnesses.update(repr((res.witness,)).encode())
@@ -492,7 +600,6 @@ def pinned_corpus_digests():
             values.update(repr((r.size, found, larger)).encode())
             witnesses.update(repr((r.witness,)).encode())
             counters.update(repr((r.stats.nodes, r.stats.prunings)).encode())
-    assert triangles >= 10 and disconnected >= 10
     return values.hexdigest(), witnesses.hexdigest(), counters.hexdigest()
 
 

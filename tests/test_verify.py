@@ -185,8 +185,8 @@ def _under_report_rooted_sizes(monkeypatch):
     """
     real = max_induced_tree_through
 
-    def under(rg):
-        res = real(rg)
+    def under(rg, known=0):
+        res = real(rg, known)
         return dataclasses.replace(res, size=max(1, res.size - 1))
 
     for name, module in list(sys.modules.items()):
