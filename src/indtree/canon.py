@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .graph import Graph, GraphError, RootedGraph, bits
+from .graph import Graph, GraphError, RootedGraph, _outside, bits
 
 # work done since import: labeling searches and their nodes (one per
 # refinement; a twin that a node individualizes in its twin-cell step is
@@ -103,7 +103,7 @@ def canonical_labeling(
     elif isinstance(root, int) and 0 <= root < n:
         start = [c for c in (full ^ 1 << root, 1 << root) if c]
     else:
-        raise GraphError(f"root {root} outside 0..{n - 1}")
+        raise _outside(f"root {root}", n)
     if n == 0:
         return CanonicalForm(_pack(0, False, 0)), ()
     if cells is None:

@@ -109,12 +109,13 @@ def _children(g: Graph, group: Group, leaves: bool) -> Iterator[tuple[Graph, Gro
     symmetric groups on g's twin classes. ``leaves`` says that the children
     are leaves of the walk: their groups are never read, and a
     disconnected one is never wanted.
-    Only sets of at least ``top`` vertices, the largest degree of g, are
-    listed, and when ``leaves`` is set only those that meet every
-    component of g: ``_independent_sets`` drops the others while it builds
-    them. The components are passed only when there are two or more, or
-    when g is K1, whose empty set is the one set of at least ``top`` = 0
-    vertices that misses its single component. A listed set is dropped
+    ``_independent_sets`` lists the candidate sets, and when ``leaves`` is
+    set only those that meet every component of g: it drops the others
+    while it builds them. The components are passed only when there are
+    two or more, or when g is K1, whose empty set is the one set of at
+    least ``top`` = 0 vertices that misses its single component. Every
+    degree rule is applied here: only the listed sets of at least ``top``
+    vertices, the largest degree of g, are kept, and a kept set is dropped
     before its child is built when
     - some old vertex of the child has a larger degree than the new one:
       canon puts a vertex of largest degree last, so the new vertex is not
@@ -170,7 +171,7 @@ def _children(g: Graph, group: Group, leaves: bool) -> Iterator[tuple[Graph, Gro
             meet = components  # with one component only K1's empty set misses it
     twins = group if isinstance(group, TwinClasses) else None
     tried: set[int] = set()  # every image of a tried set under the maps
-    sets = _independent_sets(g, top, meet)
+    sets = [s for s in _independent_sets(g, meet) if s.bit_count() >= top]
     if leaves:
         COUNTERS["leaf_sets"] += len(sets)
     for s in sets:
@@ -274,31 +275,22 @@ def _components(g: Graph) -> list[int]:
     return out
 
 
-def _independent_sets(g: Graph, least: int = 0, meet: Iterable[int] = ()) -> list[int]:
-    """The independent vertex sets of g with at least ``least`` vertices
-    that meet every (non-empty) mask of ``meet``, as bitmasks in increasing
-    order; the empty set is one when ``least`` is 0 and ``meet`` is empty.
+def _independent_sets(g: Graph, meet: Iterable[int] = ()) -> list[int]:
+    """The independent vertex sets of g that meet every (non-empty) mask of
+    ``meet``, as bitmasks in increasing order; the empty set is one when
+    ``meet`` is empty.
 
-    A partial set is dropped as soon as the vertices left cannot bring it
-    to ``least``, or once the loop has passed the highest vertex of a mask
-    of ``meet`` that it misses; the sets kept are those of the unbounded
-    list, in its order."""
-    sets = [0] if least <= g.n else []
+    A partial set is dropped once the loop has passed the highest vertex of
+    a mask of ``meet`` that it misses; the sets kept are those of the
+    unfiltered list, in its order. Size bounds are the caller's:
+    ``_children`` keeps the sets of at least ``top`` vertices."""
+    sets = [0]
     ends: dict[int, list[int]] = {}  # highest vertex -> the masks of meet it ends
     for c in meet:
         ends.setdefault(c.bit_length() - 1, []).append(c)
     for v, av in enumerate(g.adj):
         bit = 1 << v
         grown = [s | bit for s in sets if not av & s]
-        # once v is decided a set needs ``need`` vertices; a grown set has
-        # them, since its parent had need - 1. need first exceeds 0 at 1,
-        # where only the empty set, always first if still there, falls short
-        need = least - (g.n - 1 - v)
-        if need == 1:
-            if sets and not sets[0]:
-                del sets[0]
-        elif need > 1:
-            sets = [s for s in sets if s.bit_count() >= need]
         # a grown set holds v, so it meets every mask that v ends; a set
         # without v meets none of them later
         for c in ends.get(v, ()):

@@ -30,6 +30,15 @@ def vertex_list(mask: int) -> list[int]:
     return list(bits(mask))
 
 
+def _outside(what: str, n: int, has: str = "") -> GraphError:
+    """The error for ``what`` outside the vertices ``0..n-1`` of a graph;
+    ``has`` joins the two, as in "edge (0, 2) has an endpoint outside 0..1".
+    With n = 0 the range is empty, and the message says so."""
+    if not n:
+        return GraphError(f"{what}: the graph has no vertices")
+    return GraphError(f"{what}{has} outside 0..{n - 1}")
+
+
 class Graph:
     """Simple undirected graph on vertices ``0..n-1`` with bitmask adjacency.
 
@@ -53,7 +62,7 @@ class Graph:
             raise GraphError(f"expected {n} adjacency rows, got {len(rows)}")
         for u, row in enumerate(rows):
             if row < 0 or row >> n:
-                raise GraphError(f"adjacency row {u} has bits outside 0..{n - 1}")
+                raise _outside(f"adjacency row {u}", n, " has bits")
             if row >> u & 1:
                 raise GraphError(f"self-loop at vertex {u}")
         for u, row in enumerate(rows):
@@ -86,7 +95,7 @@ class Graph:
             raise GraphError(f"cannot allocate {n} adjacency rows") from None
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}")
+                raise _outside(f"edge ({u}, {v})", n, " has an endpoint")
             if u == v:
                 raise GraphError(f"self-loop ({u}, {v}) rejected")
             rows[u] |= 1 << v
@@ -137,7 +146,7 @@ class RootedGraph:
 
     def __post_init__(self) -> None:
         if not 0 <= self.root < self.graph.n:
-            raise GraphError(f"root {self.root} outside 0..{self.graph.n - 1}")
+            raise _outside(f"root {self.root}", self.graph.n)
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -204,7 +213,7 @@ def is_induced_tree(g: Graph, s: int) -> bool:
 def closed_neighborhood(g: Graph, v: int) -> int:
     """``{v}`` together with the neighbors of ``v``, as a bitmask."""
     if not 0 <= v < g.n:
-        raise GraphError(f"vertex {v} outside 0..{g.n - 1}")
+        raise _outside(f"vertex {v}", g.n)
     return g.adj[v] | 1 << v
 
 

@@ -218,6 +218,12 @@ def test_solve_root_out_of_range(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_root_of_the_empty_graph_says_it_has_no_vertices(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO("?\n"))
+    assert run(["solve", "--input", "-", "--root", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: root 0: the graph has no vertices\n")
+
+
 def test_enumerate_n4(capsys):
     assert run(["enumerate", "--n", "4"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -265,10 +265,9 @@ def test_children_match_the_uncut_reference():
 
 
 def test_bounded_independent_sets_keep_the_unbounded_order():
-    # the bound and the masks to meet drop partial sets early, yet keep
-    # exactly the large enough sets of the full list that meet every mask,
-    # in its order, at every parent up to order 8, K1 and the edgeless
-    # graphs among them
+    # the masks to meet drop partial sets early, yet keep exactly the sets
+    # of the full list that meet every mask, in its order, at every parent
+    # up to order 8, K1 and the edgeless graphs among them
     level = [(Graph.from_edge_list(1, []), ())]
     parents = edgeless = 0
     for _ in range(8):
@@ -276,12 +275,9 @@ def test_bounded_independent_sets_keep_the_unbounded_order():
         for g, autos in level:
             every = _independent_sets(g)
             components = enumeration._components(g)
-            for least in range(g.n + 2):
-                large = [s for s in every if s.bit_count() >= least]
-                assert _independent_sets(g, least) == large
-                assert _independent_sets(g, least, components) == [
-                    s for s in large if all(s & c for c in components)
-                ]
+            assert _independent_sets(g, components) == [
+                s for s in every if all(s & c for c in components)
+            ]
             nxt += _children(g, autos, False)
             parents += 1
             edgeless += not any(g.adj)
@@ -307,7 +303,9 @@ def test_leaf_shortcuts_agree_with_the_full_decision():
             new = g.n
             top = max(a.bit_count() for a in g.adj)
             top_mask = sum(1 << v for v, a in enumerate(g.adj) if a.bit_count() == top)
-            for s in _independent_sets(g, top):
+            for s in _independent_sets(g):
+                if s.bit_count() < top:
+                    continue  # _children keeps only the sets of at least top vertices
                 if s & top_mask and s.bit_count() == top:
                     continue  # rejected by degree before either rule
                 rows = tuple(a | (s >> v & 1) << new for v, a in enumerate(g.adj)) + (s,)

@@ -11,6 +11,7 @@ from indtree import (
     RootedGraph,
     build_b_k,
     build_g_k,
+    canonical_form,
     closed_neighborhood,
     diameter,
     is_connected,
@@ -154,6 +155,24 @@ def test_closed_neighborhood():
     assert closed_neighborhood(g5.graph, g5.root).bit_count() == 5
     with pytest.raises(GraphError):
         closed_neighborhood(p3, 3)
+
+
+@pytest.mark.parametrize(
+    "call, what, has",
+    [
+        (lambda n: RootedGraph(Graph(n, [0] * n), n), "root {n}", ""),
+        (lambda n: canonical_form(Graph(n, [0] * n), n), "root {n}", ""),
+        (lambda n: closed_neighborhood(Graph(n, [0] * n), n), "vertex {n}", ""),
+        (lambda n: Graph.from_edge_list(n, [(0, n + 1)]), "edge (0, {m})", " has an endpoint"),
+    ],
+)
+def test_range_errors_name_the_range_or_say_there_is_none(call, what, has):
+    # the index n is outside 0..n-1 at every n; at n = 0 that range is
+    # empty, so the message says the graph has no vertices rather than 0..-1
+    for n, tail in [(0, ": the graph has no vertices"), (2, f"{has} outside 0..1")]:
+        with pytest.raises(GraphError) as exc:
+            call(n)
+        assert str(exc.value) == what.format(n=n, m=n + 1) + tail
 
 
 def test_is_induced_tree_explicit():

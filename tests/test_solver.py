@@ -234,7 +234,9 @@ def test_exists_agrees_with_sizes():
 
 def test_stop_at_returns_nothing_on_a_miss():
     # under stop_at only trees of that size count: a miss returns size 0 and
-    # the empty set, a hit the first tree of that size through the root
+    # the empty set, a hit the first tree of that size through the root. At
+    # stop_at = t(G, v) that first tree is the unfloored search's witness:
+    # the floor t - 1 is below t, and the first tree past it is a largest one
     rng = random.Random(16)
     for _ in range(100):
         n = rng.randrange(1, 11)
@@ -245,6 +247,7 @@ def test_stop_at_returns_nothing_on_a_miss():
         size, witness, _ = _search(g, v, stop_at=t)
         assert size == witness.bit_count() == t
         assert is_induced_tree(g, witness) and witness >> v & 1
+        assert (size, witness) == _search(g, v)[:2]
 
 
 def test_deterministic():
