@@ -20,9 +20,8 @@ triangle, the sizes where the solver's pick rule tells most).
 For each group and tree, ``measure`` builds the input from that tree
 untimed and runs the work once, counted by the differences it makes to
 the counters records ``COUNTERS`` of the tree's ``canon``, ``enumeration``
-and ``solver``, which the row holds as they stand under those three names;
-README's "Before/after measurements" describes the records. The script
-exits, naming the record, when a tree lacks one.
+and ``solver``, whose comments define their fields. The script exits,
+naming the record, when a tree lacks one.
 
 ``paired`` then runs each tree's work once more, untimed, which sets how
 many times a timed run repeats the work, so that a timed run lasts at
@@ -31,10 +30,44 @@ which tree runs first from pair to pair. The two runs of a pair are
 adjacent in time, so a change in the host's speed between pairs falls on
 both, and the after/before ratio of each pair cancels it.
 
-Every row records the same fields, those README lists: the exact
-counters and results digests, the same on any machine, and the host's wall
-times, ``wall_s`` per pair and their median, with ``ratio_median`` and
-``won`` in each ``after`` row.
+Each row of ``before.groups`` and ``after.groups`` holds:
+
+- exact, the same on any machine: ``graphs``, the classes the walk emits
+  or the graphs solved; ``canon``, ``enumeration`` and ``solver``, the
+  run's differences of each record, field by field under the record's own
+  names, so a field the record gains reaches the rows as it stands and a
+  revision's record gives that revision's fields; ``results_sha256`` and
+  ``values_sha256``;
+- host-dependent, read with the artifact's ``host``: ``wall_s``, the
+  seconds per run of the work in each pair, and ``wall_s_median``; each
+  ``after`` row adds ``ratio_median``, the median over pairs of
+  after / before, and ``won``, the pairs in which after was faster.
+
+``results_sha256`` hashes a walk's graph6 lines as ``indtree enumerate
+--n N`` prints them, each ``rooted_census`` class's sizes, or each solve's
+``repr((kind, size, witness))`` and each refutation's
+``repr(("refuted", answer))``. ``values_sha256`` hashes the values alone:
+a walk's lines or a census's sizes as above, or each solve's
+``repr((kind, size))`` and each refutation's answer. ``same_results`` and
+``same_values`` are true when every group's digest is the same before and
+after. The search counters stay out of both digests, so a change that
+visits fewer nodes but keeps every size and witness reads
+``same_results`` true; its ``solver`` fields show the cut. A change of
+the solver's branch vertex may return another largest tree, which moves
+``results_sha256`` but must keep ``same_values``.
+
+Read ``ratio_median`` against the null band, what the script reads when
+both trees hold the same ``src/`` (``--base HEAD`` on a clean checkout).
+On a shared 2-core Xeon under CPython 3.11.7, eight such runs of about
+2 min each read ``ratio_median`` within 0.930-1.175 over their 91 rows,
+and within 0.930-1.083 in all but one: knn_minus_pm(6) at 1.175, in a run
+that shared the host with a short test run. One run alone read as narrow
+as 0.970-1.020, so a single run understates the band. ``won`` spread from
+0 to 22 of 30, and a run whose solver code was unchanged read 24-28 on
+four solver groups: the solver groups of one run lean together, either
+way. So ``won`` alone shows no gain or loss. A gain shows only as
+``ratio_median`` below 0.930, a loss only as one above 1.175, and a
+reading between is unresolved.
 """
 
 from __future__ import annotations
@@ -292,8 +325,9 @@ def main() -> None:
                 file=sys.stderr,
             )
     report = {
-        "what": "per group: the row fields of README's 'Before/after measurements', "
-        f"exact counters and digests, then seconds per work in each of {PAIRS} pairs of "
+        "what": "per group: the row fields of scripts/bench.py's docstring, exact counters "
+        "(defined by the COUNTERS comments of indtree.canon, indtree.enumeration and "
+        f"indtree.solver) and digests, then seconds per work in each of {PAIRS} pairs of "
         "alternating runs",
         "host": host(),
         "pairs": PAIRS,

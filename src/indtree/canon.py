@@ -38,9 +38,11 @@ from dataclasses import dataclass, field
 
 from .graph import Graph, GraphError, RootedGraph, _outside, bits
 
-# work done since import: labeling searches and their nodes (one per
-# refinement; a twin that a node individualizes in its twin-cell step is
-# no node of its own); read as differences around a run
+# work done since import, never reset; read as differences around a run:
+# ``searches``, the labeling searches, and ``nodes``, their nodes, one
+# refinement each. A cell of false twins that a node individualizes in one
+# step, twin after twin in index order, adds no node: it splits nothing,
+# and every sibling would be pruned
 COUNTERS = {"searches": 0, "nodes": 0}
 
 

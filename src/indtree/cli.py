@@ -13,11 +13,13 @@ per record, with ``root=`` only when --root was given.
 The library walks any order in 1..MAX_N (12); the budget is this module's:
 enumerate, tabulate and verify stop at order DEFAULT_MAX_N (11) unless given
 --override-budget, since n = 12 runs far longer than n = 11.
-The flags a family or claim takes come from FAMILIES and verify.CLAIMS; one
-check, ``_check_flags``, refuses every other flag and every missing one.
-Library reports carry no timing: tabulate and verify time their one library
-call here and print it as ``elapsed``, the last key of --json output and the
-last line of tabulate's text. The rest of --json output is the report's own
+The flags a family or claim takes come from FAMILIES and verify.CLAIMS, and
+a claim that takes --max-n also takes --override-budget; one check,
+``_check_flags``, refuses every other flag, --format with --json, and every
+missing flag. Library reports carry no timing: tabulate and verify time
+their one library call here and print it as ``elapsed``, the last key of
+--json output and the last line of tabulate's text, there with three
+decimals. The rest of --json output is the report's own
 ``to_json_dict``.
 """
 

@@ -49,14 +49,27 @@ from .graph import Graph, GraphError, _component_of
 
 MAX_N = 12
 
-# work done since import, read as differences around a run: the walks
-# started; the candidate sets listed at the last level of a walk; the
-# leaves accepted by degree; the partition's rejects, and the leaves
-# accepted by the new vertex alone in the last cell and by its false twins
-# filling that cell; the inner candidates whose finished partition has
-# twin classes for cells; the labelings of the rest. Each candidate takes
-# one of these decisions, so sums of them count the candidates and those
-# refined
+# work done since import, never reset; read as differences around a run:
+# - walks: the walks of enumerate_connected_triangle_free, each counted
+#   when its first class is asked for;
+# - leaf_sets: the candidate sets at a walk's last level, those that
+#   _independent_sets lists because they meet every component of the
+#   parent and that _children keeps because they hold at least ``top``
+#   vertices, the parent's largest degree;
+# - degree: the leaves accepted by the new vertex's degree alone;
+# - rejected: the candidates whose new vertex the partition puts outside
+#   its last cell;
+# - settled and twins: the leaves accepted by the new vertex alone in the
+#   last cell, and by its false twins filling that cell;
+# - twin_cells: the inner candidates whose finished partition has classes
+#   of false twins for cells, accepted with that product of symmetric
+#   groups as their group and not labeled;
+# - labelings: the candidates labeled.
+# A candidate is a set whose child _children builds: one per orbit of the
+# sets that pass the degree cut. Each takes exactly one decision, so two
+# counts are derived, not kept: the candidates refined, rejected + settled
+# + twins + twin_cells + labelings, and all candidates, that sum plus
+# degree
 COUNTERS = dict.fromkeys(
     ("walks", "leaf_sets", "degree", "rejected", "settled", "twins", "twin_cells", "labelings"), 0
 )

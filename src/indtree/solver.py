@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, RootedGraph, bits, is_induced_tree, vertex_list
+from .graph import Graph, GraphError, RootedGraph, _outside, bits, is_induced_tree, vertex_list
 
 _BRUTE_FORCE_MAX_N = 20
 
@@ -21,7 +21,9 @@ _BRUTE_FORCE_MAX_N = 20
 # however many roots it searches) and exists (exists_induced_tree_through),
 # its calls and the nodes and prunings of their searches. A rooted call with
 # a ``known`` tree counts once, with the nodes and prunings of its floored
-# search. The keys are literals, which are interned, so the increments below
+# search. max_induced_tree and max_induced_tree_through also return their
+# call's counts in ``stats``; exists_induced_tree_through's bool answer has
+# none. The keys are literals, which are interned, so the increments below
 # match them by identity
 COUNTERS = {
     "rooted_calls": 0, "rooted_nodes": 0, "rooted_prunings": 0,
@@ -259,7 +261,8 @@ def max_induced_tree_through(rg: RootedGraph, known: int = 0) -> TreeSearchResul
     looks only for larger trees: it finds the witness an unfloored search
     finds when there is one (see ``_search``), and returns ``known`` itself
     when there is none. A nonzero ``known`` that is not an induced tree of
-    the graph holding the root raises GraphError before any search.
+    the graph holding the root, or has bits outside it, raises GraphError
+    before any search.
     """
     g = rg.graph
     root = rg.root
@@ -337,8 +340,11 @@ def exists_induced_tree_through(rg: RootedGraph, target: int) -> bool:
     """True iff t(G, v) >= target; stops at the first tree of at least that
     size.
 
-    A True answer has its witness checked like the other entry points; a
-    False one has no witness to check.
+    The search runs with its bar at ``target - 1`` (``_search``'s
+    ``stop_at``), so the tree it stops at may hold more than ``target``
+    vertices: forced leaves join several at a time. A True answer has its
+    witness checked like the other entry points; a False one has no witness
+    to check.
     """
     if target < 1:
         raise GraphError(f"target must be >= 1, got {target}")
@@ -367,7 +373,7 @@ def brute_force_t(g: Graph, root: int | None = None) -> TreeSearchResult:
             "use max_induced_tree instead"
         )
     if root is not None and not 0 <= root < n:
-        raise GraphError(f"root {root} out of range for {n} vertices")
+        raise _outside(f"root {root}", n)
     best_size = 0
     best_set = 0
     tested = 0

@@ -327,7 +327,8 @@ def test_guards():
         brute_force_t(Graph.from_edge_list(0, []))
     with pytest.raises(GraphError):
         brute_force_t(Graph.from_edge_list(21, []))
-    with pytest.raises(GraphError):
+    # the range message of RootedGraph and every other vertex index
+    with pytest.raises(GraphError, match=r"^root 3 outside 0\.\.2$"):
         brute_force_t(Graph.from_edge_list(3, []), 3)
 
 
